@@ -1,125 +1,18 @@
 //! Machine-readable experiment report: runs the full pipeline on the
 //! canonical datasets and writes one JSON document summarizing every
 //! headline quantity (tree shapes, similarity pairs, transferability
-//! verdicts, baseline comparison) to stdout or a file.
-//!
-//! Every dataset, split, and M5' tree resolves through the pipeline's
-//! artifact store; only the baseline regressors fit directly.
+//! verdicts, baseline comparison) to stdout or a file. The document is
+//! rendered by `spec_bench::artifacts::report`.
 //!
 //! `cargo run --release -p spec-bench --bin report [output.json]`
 
-use baselines::{CartConfig, OlsRegressor, RegressionTree, Regressor};
-use characterize::{ProfileTable, SimilarityMatrix};
-use modeltree::ModelTree;
-use pipeline::{
-    output, DatasetInput, DatasetSpec, PipelineContext, SplitPart, SplitSpec, TreeSpec,
-};
-use serde_json::json;
-use spec_bench::{
-    cpu2006_artifacts, omp2001_artifacts, suite_tree_config, transfer_artifacts, N_SAMPLES,
-    SEED_CPU2006, SEED_OMP2001, SEED_SPLIT,
-};
-use spec_stats::PredictionMetrics;
-use transfer::{TransferConfig, TransferabilityReport};
-
-fn tree_summary(tree: &ModelTree, train_mae: f64) -> serde_json::Value {
-    json!({
-        "root_event": tree.root_split_event().map(|e| e.short_name()),
-        "n_leaves": tree.n_leaves(),
-        "n_nodes": tree.n_nodes(),
-        "depth": tree.depth(),
-        "train_mae": train_mae,
-        "event_importance": tree
-            .event_importance()
-            .into_iter()
-            .map(|(e, v)| json!({"event": e.short_name(), "importance": v}))
-            .collect::<Vec<_>>(),
-    })
-}
+use pipeline::{output, PipelineContext};
+use spec_bench::artifacts;
 
 fn main() {
     // SPECREPRO_TRACE_OUT / SPECREPRO_METRICS_OUT capture this run's telemetry.
     let _obs = obskit::ObsSession::from_env();
-    let ctx = PipelineContext::from_env();
-    let (cpu, cpu_tree) = cpu2006_artifacts(&ctx);
-    let (omp, omp_tree) = omp2001_artifacts(&ctx);
-
-    // Characterization.
-    let cpu_table = ProfileTable::build(&cpu_tree, &cpu);
-    let matrix = SimilarityMatrix::from_table(&cpu_table);
-    let pair = |a: &str, b: &str| {
-        json!({
-            "a": a, "b": b,
-            "distance": matrix.distance_by_name(a, b).expect("benchmarks present"),
-        })
-    };
-
-    // Transferability (paper's 10% protocol).
-    let (split, cpu_small, omp_small) = transfer_artifacts(&ctx);
-    let config = TransferConfig::default();
-    let assess = |tree: &ModelTree,
-                  train: &perfcounters::Dataset,
-                  test: &perfcounters::Dataset,
-                  a: &str,
-                  b: &str| {
-        let report = TransferabilityReport::assess(tree, train, test, a, b, &config)
-            .expect("datasets large enough");
-        json!({
-            "train": a, "test": b,
-            "transferable": report.transferable(),
-            "hypothesis_transferable": report.hypothesis_transferable(),
-            "accuracy_transferable": report.accuracy_transferable(),
-            "t_datasets": report.hypothesis.cpi_datasets.statistic,
-            "t_predicted": report.hypothesis.cpi_predicted.statistic,
-            "correlation": report.metrics.correlation,
-            "mae": report.metrics.mae,
-        })
-    };
-
-    // Baselines on a 50/50 split.
-    let bsplit = SplitSpec::new(DatasetSpec::cpu2006(), SEED_SPLIT, 0.5);
-    let (btrain, btest) = ctx.split(&bsplit).expect("suite generates");
-    let btree = ctx
-        .tree(&TreeSpec {
-            config: suite_tree_config(bsplit.first_len()),
-            input: DatasetInput::SplitPart(bsplit, SplitPart::First),
-        })
-        .expect("training half fits");
-    let ols = OlsRegressor::fit(&btrain).expect("ols");
-    let cart = RegressionTree::fit(&btrain, CartConfig::default()).expect("cart");
-    let eval = |preds: Vec<f64>| {
-        let m = PredictionMetrics::from_predictions(&preds, &btest.cpis()).expect("metrics");
-        json!({"correlation": m.correlation, "mae": m.mae, "rmse": m.rmse})
-    };
-
-    let report = json!({
-        "paper": "Characterization of SPEC CPU2006 and SPEC OMP2001 (ISPASS 2008)",
-        "seeds": {"cpu2006": SEED_CPU2006, "omp2001": SEED_OMP2001, "split": SEED_SPLIT},
-        "n_samples_per_suite": N_SAMPLES,
-        "figure1_cpu2006_tree": tree_summary(&cpu_tree, cpu_tree.mean_abs_error(&cpu)),
-        "figure2_omp2001_tree": tree_summary(&omp_tree, omp_tree.mean_abs_error(&omp)),
-        "table3_headline_pairs": [
-            pair("456.hmmer", "444.namd"),
-            pair("435.gromacs", "444.namd"),
-            pair("454.calculix", "447.dealII"),
-            pair("429.mcf", "444.namd"),
-            pair("429.mcf", "459.GemsFDTD"),
-            pair("444.namd", "459.GemsFDTD"),
-        ],
-        "section6_transferability": [
-            assess(&cpu_small, &split.cpu_train, &split.cpu_rest, "CPU2006 (10%)", "CPU2006 (rest)"),
-            assess(&cpu_small, &split.cpu_train, &split.omp_rest, "CPU2006 (10%)", "OMP2001"),
-            assess(&omp_small, &split.omp_train, &split.omp_rest, "OMP2001 (10%)", "OMP2001 (rest)"),
-            assess(&omp_small, &split.omp_train, &split.cpu_rest, "OMP2001 (10%)", "CPU2006"),
-        ],
-        "baselines_cpu2006": {
-            "m5_model_tree": eval(btree.predict_all(&btest)),
-            "global_ols": eval(ols.predict_all(&btest)),
-            "cart": eval(cart.predict_all(&btest)),
-        },
-    });
-
-    let rendered = serde_json::to_string_pretty(&report).expect("serializable report");
+    let rendered = artifacts::report(&PipelineContext::from_env());
     match std::env::args().nth(1) {
         Some(path) => {
             std::fs::write(&path, &rendered).expect("writable output path");

@@ -1,4 +1,5 @@
-//! Golden-snapshot enforcement for the E2–E8 `results/` artifacts.
+//! Golden-snapshot enforcement for the E2–E8 `results/` artifacts and
+//! the machine-readable `results/report.json`.
 //!
 //! Each test renders its experiment through the same pure
 //! `spec_bench::artifacts` function the regeneration binary uses and
@@ -104,4 +105,13 @@ fn generation_matrix_matches_golden_for_every_thread_count() {
         let again = artifacts::generation_matrix(&spec_bench::matrix_artifacts(ctx(), threads));
         assert_eq!(rendered, again, "{threads}-thread matrix diverged");
     }
+}
+
+/// The machine-readable `report` document: pins the tree summaries,
+/// similarity pairs, transferability statistics and the OLS/CART
+/// baseline metrics end to end, every float at full round-trip
+/// precision.
+#[test]
+fn report_matches_golden() {
+    enforce("report.json", &artifacts::report(ctx()));
 }

@@ -40,10 +40,12 @@ pub mod cart;
 pub mod knn;
 pub mod ols;
 
-pub use cart::{CartConfig, RegressionTree};
+pub use cart::{CartConfig, CartNode, RegressionTree};
 pub use knn::KnnRegressor;
 pub use ols::OlsRegressor;
 
+use modeltree::split::Columns;
+use perfcounters::events::EventId;
 use perfcounters::{Dataset, Sample};
 
 /// A fitted regressor predicting CPI from a sample's event densities.
@@ -81,6 +83,11 @@ pub enum BaselineError {
     InsufficientData(String),
     /// A hyper-parameter was invalid (e.g. `k = 0`).
     InvalidConfig(String),
+    /// An event density or a CPI was NaN or infinite. Such values have
+    /// no place in a least-squares design or a threshold split and
+    /// would otherwise produce nonsense (NaN thresholds, empty children)
+    /// without an error.
+    NonFiniteAttribute(String),
 }
 
 impl std::fmt::Display for BaselineError {
@@ -88,11 +95,29 @@ impl std::fmt::Display for BaselineError {
         match self {
             BaselineError::InsufficientData(msg) => write!(f, "insufficient data: {msg}"),
             BaselineError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            BaselineError::NonFiniteAttribute(msg) => write!(f, "non-finite attribute: {msg}"),
         }
     }
 }
 
 impl std::error::Error for BaselineError {}
+
+/// Rejects a dataset holding a NaN or infinite event density or CPI,
+/// naming the first offending column and row.
+fn check_finite(cols: &Columns<'_>) -> Result<()> {
+    let named = EventId::ALL
+        .iter()
+        .map(|&e| (e.short_name(), cols.event(e)))
+        .chain([("CPI", cols.cpi)]);
+    for (name, col) in named {
+        if let Some(row) = col.iter().position(|v| !v.is_finite()) {
+            return Err(BaselineError::NonFiniteAttribute(format!(
+                "{name} has a non-finite value at row {row}"
+            )));
+        }
+    }
+    Ok(())
+}
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, BaselineError>;

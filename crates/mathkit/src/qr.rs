@@ -39,6 +39,12 @@ impl QrDecomposition {
 /// Computes the thin Householder QR factorization of `a` (`m >= n`
 /// required).
 ///
+/// Every Householder step walks columns, so the factorization runs on
+/// column-major working copies (one for `R`, then one for `Q`) and
+/// converts back to row-major at the end. Each column sees the same
+/// operations in the same order as a walk over the row-major matrix
+/// would make, so the factors are the same bits either way.
+///
 /// # Errors
 ///
 /// Returns [`MathError::ShapeMismatch`] if `a` has more columns than rows.
@@ -49,20 +55,23 @@ pub fn qr(a: &Matrix) -> Result<QrDecomposition> {
             "QR requires rows >= cols, got {m}x{n}"
         )));
     }
-    // Work on a copy; accumulate Householder vectors implicitly by applying
-    // them to an identity-extended matrix.
-    let mut r = a.clone();
+    // Reduce a column-major copy to R, keeping the Householder vectors
+    // to build Q afterwards.
+    let mut r: Vec<Vec<f64>> = vec![Vec::with_capacity(m); n];
+    for i in 0..m {
+        for (col, &x) in r.iter_mut().zip(a.row(i)) {
+            col.push(x);
+        }
+    }
     let mut vs: Vec<Vec<f64>> = Vec::with_capacity(n);
 
     for k in 0..n {
         // Build the Householder vector for column k.
-        let norm_x = (k..m).map(|i| r[(i, k)] * r[(i, k)]).sum::<f64>().sqrt();
+        let norm_x = r[k][k..].iter().map(|x| x * x).sum::<f64>().sqrt();
         let mut v = vec![0.0; m - k];
         if norm_x > 0.0 {
-            let alpha = if r[(k, k)] >= 0.0 { -norm_x } else { norm_x };
-            for (i, vi) in v.iter_mut().enumerate() {
-                *vi = r[(k + i, k)];
-            }
+            let alpha = if r[k][k] >= 0.0 { -norm_x } else { norm_x };
+            v.copy_from_slice(&r[k][k..]);
             v[0] -= alpha;
             let norm_v = v.iter().map(|x| x * x).sum::<f64>().sqrt();
             if norm_v > 0.0 {
@@ -70,45 +79,61 @@ pub fn qr(a: &Matrix) -> Result<QrDecomposition> {
                     *vi /= norm_v;
                 }
                 // Apply H = I - 2 v vᵀ to the trailing submatrix of r.
-                for c in k..n {
-                    let dot = (0..m - k).map(|i| v[i] * r[(k + i, c)]).sum::<f64>();
-                    for i in 0..m - k {
-                        r[(k + i, c)] -= 2.0 * v[i] * dot;
-                    }
+                for col in &mut r[k..] {
+                    reflect(&v, &mut col[k..]);
                 }
             }
         }
         vs.push(v);
     }
 
+    // Keep the upper triangle of the thin R; the working copy is done.
+    let mut r_thin = Matrix::zeros(n, n);
+    for (j, col) in r.iter().enumerate() {
+        for (i, &x) in col[..=j].iter().enumerate() {
+            r_thin[(i, j)] = x;
+        }
+    }
+    drop(r);
+
     // Build thin Q by applying the Householder reflections to the first n
     // columns of the identity, in reverse order.
-    let mut q = Matrix::zeros(m, n);
-    for c in 0..n {
-        q[(c, c)] = 1.0;
-    }
-    for k in (0..n).rev() {
-        let v = &vs[k];
+    let mut q: Vec<Vec<f64>> = (0..n)
+        .map(|c| {
+            let mut col = vec![0.0; m];
+            col[c] = 1.0;
+            col
+        })
+        .collect();
+    for (k, v) in vs.iter().enumerate().rev() {
         if v.iter().all(|&x| x == 0.0) {
             continue;
         }
-        for c in 0..n {
-            let dot = (0..m - k).map(|i| v[i] * q[(k + i, c)]).sum::<f64>();
-            for i in 0..m - k {
-                q[(k + i, c)] -= 2.0 * v[i] * dot;
-            }
+        for col in &mut q {
+            reflect(v, &mut col[k..]);
         }
     }
+    drop(vs);
 
-    // Zero the strictly lower part of the thin R.
-    let mut r_thin = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in i..n {
-            r_thin[(i, j)] = r[(i, j)];
+    let mut q_rows = Matrix::zeros(m, n);
+    for i in 0..m {
+        for (x, col) in q_rows.row_mut(i).iter_mut().zip(&q) {
+            *x = col[i];
         }
     }
+    Ok(QrDecomposition {
+        q: q_rows,
+        r: r_thin,
+    })
+}
 
-    Ok(QrDecomposition { q, r: r_thin })
+/// Applies the reflection `I - 2 v vᵀ` to one column segment in place.
+#[inline]
+fn reflect(v: &[f64], col: &mut [f64]) {
+    let dot = v.iter().zip(col.iter()).map(|(vi, x)| vi * x).sum::<f64>();
+    for (x, vi) in col.iter_mut().zip(v) {
+        *x -= 2.0 * vi * dot;
+    }
 }
 
 /// Solves the least-squares problem `min ||a x - y||` via Householder QR.

@@ -8,7 +8,7 @@
 use crate::{Result, StatsError};
 use mathkit::describe::correlation;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// A percentile-bootstrap confidence interval.
@@ -38,26 +38,8 @@ impl BootstrapCi {
     }
 }
 
-/// Percentile bootstrap of an arbitrary paired statistic
-/// `f(predicted, actual)`.
-///
-/// # Errors
-///
-/// * [`StatsError::LengthMismatch`] if the slices differ in length.
-/// * [`StatsError::InsufficientData`] if fewer than 2 pairs.
-/// * [`StatsError::Domain`] if `confidence` is not in `(0, 1)` or
-///   `n_resamples == 0`.
-pub fn bootstrap_ci<F>(
-    predicted: &[f64],
-    actual: &[f64],
-    statistic: F,
-    n_resamples: usize,
-    confidence: f64,
-    seed: u64,
-) -> Result<BootstrapCi>
-where
-    F: Fn(&[f64], &[f64]) -> f64,
-{
+/// Checks the arguments shared by every bootstrap in this module.
+fn validate(predicted: &[f64], actual: &[f64], n_resamples: usize, confidence: f64) -> Result<()> {
     if predicted.len() != actual.len() {
         return Err(StatsError::LengthMismatch(format!(
             "{} vs {}",
@@ -79,7 +61,88 @@ where
     if n_resamples == 0 {
         return Err(StatsError::Domain("n_resamples must be positive".into()));
     }
+    Ok(())
+}
 
+/// The percentile interval of the resampled statistics `stats`.
+fn percentile_ci(point: f64, mut stats: Vec<f64>, confidence: f64) -> BootstrapCi {
+    let n_resamples = stats.len();
+    stats.sort_by(f64::total_cmp);
+    let alpha = 1.0 - confidence;
+    let lo_idx = ((alpha / 2.0) * n_resamples as f64) as usize;
+    let hi_idx = (((1.0 - alpha / 2.0) * n_resamples as f64) as usize).min(n_resamples - 1);
+    BootstrapCi {
+        point,
+        lower: stats[lo_idx],
+        upper: stats[hi_idx],
+        confidence,
+        n_resamples,
+    }
+}
+
+/// `rng.gen_range(0..n)` with the per-call work hoisted out of the draw:
+/// the rejection zone is computed once, and the remainder comes from a
+/// multiply by a precomputed reciprocal instead of a 64-bit division.
+/// Each draw consumes the same generator outputs and returns the same
+/// index as `gen_range`.
+struct IndexDraw {
+    span: u64,
+    zone: u64,
+    reciprocal: u64,
+}
+
+impl IndexDraw {
+    fn new(n: usize) -> IndexDraw {
+        let span = n as u64;
+        IndexDraw {
+            span,
+            zone: u64::MAX - (u64::MAX - span + 1) % span,
+            reciprocal: u64::MAX / span,
+        }
+    }
+
+    #[inline]
+    fn draw(&self, rng: &mut StdRng) -> usize {
+        loop {
+            let v = rng.next_u64();
+            if v <= self.zone {
+                // `reciprocal` is within one of 2^64 / span, so the
+                // estimated quotient is exact or one short and a single
+                // correction yields the exact `v % span`.
+                let q = ((u128::from(v) * u128::from(self.reciprocal)) >> 64) as u64;
+                let r = v - q * self.span;
+                return if r >= self.span { r - self.span } else { r } as usize;
+            }
+        }
+    }
+}
+
+/// Percentile bootstrap of an arbitrary paired statistic
+/// `f(predicted, actual)`.
+///
+/// This is the reference definition: [`mae_ci`] and [`correlation_ci`]
+/// return bit-identical intervals to it with their statistics passed as
+/// closures, through fused kernels that skip the resample copies.
+///
+/// # Errors
+///
+/// * [`StatsError::LengthMismatch`] if the slices differ in length.
+/// * [`StatsError::InsufficientData`] if fewer than 2 pairs.
+/// * [`StatsError::Domain`] if `confidence` is not in `(0, 1)` or
+///   `n_resamples == 0`.
+pub fn bootstrap_ci<F>(
+    predicted: &[f64],
+    actual: &[f64],
+    statistic: F,
+    n_resamples: usize,
+    confidence: f64,
+    seed: u64,
+) -> Result<BootstrapCi>
+where
+    F: Fn(&[f64], &[f64]) -> f64,
+{
+    validate(predicted, actual, n_resamples, confidence)?;
+    let n = predicted.len();
     let point = statistic(predicted, actual);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = Vec::with_capacity(n_resamples);
@@ -93,20 +156,15 @@ where
         }
         stats.push(statistic(&p_buf, &a_buf));
     }
-    stats.sort_by(f64::total_cmp);
-    let alpha = 1.0 - confidence;
-    let lo_idx = ((alpha / 2.0) * n_resamples as f64) as usize;
-    let hi_idx = (((1.0 - alpha / 2.0) * n_resamples as f64) as usize).min(n_resamples - 1);
-    Ok(BootstrapCi {
-        point,
-        lower: stats[lo_idx],
-        upper: stats[hi_idx],
-        confidence,
-        n_resamples,
-    })
+    Ok(percentile_ci(point, stats, confidence))
 }
 
-/// Bootstrap CI of the mean absolute error.
+/// Bootstrap CI of the mean absolute error: [`bootstrap_ci`] of
+/// `Σ|p − a| / n`.
+///
+/// Each resample is one running sum over a precomputed `|p − a|`
+/// column, taken in draw order — the additions the closure makes over a
+/// resampled copy, without the copy.
 ///
 /// # Errors
 ///
@@ -118,17 +176,27 @@ pub fn mae_ci(
     confidence: f64,
     seed: u64,
 ) -> Result<BootstrapCi> {
-    bootstrap_ci(
-        predicted,
-        actual,
-        |p, a| p.iter().zip(a).map(|(x, y)| (x - y).abs()).sum::<f64>() / p.len() as f64,
-        n_resamples,
-        confidence,
-        seed,
-    )
+    validate(predicted, actual, n_resamples, confidence)?;
+    let n = predicted.len();
+    let abs_err: Vec<f64> = predicted
+        .iter()
+        .zip(actual)
+        .map(|(p, a)| (p - a).abs())
+        .collect();
+    let point = abs_err.iter().sum::<f64>() / n as f64;
+    let draw = IndexDraw::new(n);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let stats = (0..n_resamples)
+        .map(|_| (0..n).map(|_| abs_err[draw.draw(&mut rng)]).sum::<f64>() / n as f64)
+        .collect();
+    Ok(percentile_ci(point, stats, confidence))
 }
 
-/// Bootstrap CI of the correlation coefficient `C`.
+/// Bootstrap CI of the correlation coefficient `C`: [`bootstrap_ci`] of
+/// `describe::correlation(p, a)`, with 0 for a degenerate resample.
+///
+/// The draw loop accumulates both means' sums; one more pass over the
+/// resample accumulates the cross and squared deviations.
 ///
 /// # Errors
 ///
@@ -140,14 +208,52 @@ pub fn correlation_ci(
     confidence: f64,
     seed: u64,
 ) -> Result<BootstrapCi> {
-    bootstrap_ci(
-        predicted,
-        actual,
-        |p, a| correlation(p, a).unwrap_or(0.0),
-        n_resamples,
-        confidence,
-        seed,
-    )
+    validate(predicted, actual, n_resamples, confidence)?;
+    let n = predicted.len();
+    let point = correlation(predicted, actual).unwrap_or(0.0);
+    let draw = IndexDraw::new(n);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut xs = vec![0.0; n];
+    let mut ys = vec![0.0; n];
+    let stats = (0..n_resamples)
+        .map(|_| {
+            // -0.0 is the neutral element `Iterator::sum` starts from.
+            let (mut sum_x, mut sum_y) = (-0.0, -0.0);
+            for (x, y) in xs.iter_mut().zip(ys.iter_mut()) {
+                let pick = draw.draw(&mut rng);
+                *x = predicted[pick];
+                *y = actual[pick];
+                sum_x += *x;
+                sum_y += *y;
+            }
+            correlation_from_sums(&xs, &ys, sum_x, sum_y)
+        })
+        .collect();
+    Ok(percentile_ci(point, stats, confidence))
+}
+
+/// `describe::correlation(xs, ys).unwrap_or(0.0)` for `xs.len() >= 2`,
+/// given `Σx` and `Σy` in element order. The three accumulators take
+/// the same terms in the same element order as `describe`'s separate
+/// covariance and variance passes, so the result is bit-identical.
+fn correlation_from_sums(xs: &[f64], ys: &[f64], sum_x: f64, sum_y: f64) -> f64 {
+    let mx = sum_x / xs.len() as f64;
+    let my = sum_y / ys.len() as f64;
+    let (mut sxy, mut sxx, mut syy) = (-0.0, -0.0, -0.0);
+    for (&x, &y) in xs.iter().zip(ys) {
+        let dx = x - mx;
+        let dy = y - my;
+        sxy += dx * dy;
+        sxx += dx * dx;
+        syy += dy * dy;
+    }
+    let dof = (xs.len() - 1) as f64;
+    let sx = (sxx / dof).sqrt();
+    let sy = (syy / dof).sqrt();
+    if sx <= 0.0 || sy <= 0.0 {
+        return 0.0;
+    }
+    (sxy / dof / (sx * sy)).clamp(-1.0, 1.0)
 }
 
 #[cfg(test)]
@@ -213,6 +319,33 @@ mod tests {
         assert!(mae_ci(&a[..1], &a[..1], 100, 0.95, 0).is_err());
         assert!(mae_ci(&a, &a, 0, 0.95, 0).is_err());
         assert!(mae_ci(&a, &a, 100, 1.5, 0).is_err());
+    }
+
+    #[test]
+    fn index_draw_matches_gen_range() {
+        for span in [
+            1usize,
+            2,
+            3,
+            7,
+            4097,
+            54_000,
+            1 << 32,
+            (1 << 63) + 1,
+            usize::MAX,
+        ] {
+            let draw = IndexDraw::new(span);
+            let mut fast = StdRng::seed_from_u64(span as u64);
+            let mut reference = fast.clone();
+            for _ in 0..10_000 {
+                assert_eq!(
+                    draw.draw(&mut fast),
+                    reference.gen_range(0..span),
+                    "span {span}"
+                );
+            }
+            assert_eq!(fast, reference, "span {span}: generator streams diverged");
+        }
     }
 
     #[test]

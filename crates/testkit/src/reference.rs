@@ -36,7 +36,13 @@
 //! samples are always taken in the node's row order, which both
 //! implementations keep as *original dataset order* (stable sorts tie
 //! on it; stable partitions preserve it).
+//!
+//! The module also keeps the straightforward forms of two baseline
+//! kernels as oracles: the sort-per-node CART fit ([`cart_fit`]) and
+//! the row-major Householder QR ([`householder_qr`]).
 
+use baselines::cart::{CartConfig, CartNode};
+use mathkit::matrix::Matrix;
 use modeltree::{LinearModel, M5Config, ModelTree, NodeKind};
 use perfcounters::events::{EventId, N_EVENTS};
 use perfcounters::{Dataset, Sample};
@@ -776,4 +782,252 @@ fn compare(
             "{path}: optimized split where reference has a leaf"
         )),
     }
+}
+
+// ---------------------------------------------------------------------
+// CART oracle
+// ---------------------------------------------------------------------
+
+/// Fits a CART tree the naive way — the differential oracle for
+/// [`baselines::RegressionTree`], which grows on the M5' trainer's
+/// presorted arena. Every node copies its `(value, cpi)` pairs for every
+/// event and re-sorts them with a stable `total_cmp` sort; children are
+/// filtered copies of the parent's row list, so every sum runs in
+/// original row order. Returns the node vector in pre-order, as
+/// [`baselines::RegressionTree::nodes`] lays it out.
+///
+/// The caller must pass finite data with `min_leaf >= 1` and at least
+/// one row; the optimized fit rejects everything else up front.
+pub fn cart_fit(data: &Dataset, config: CartConfig) -> Vec<CartNode> {
+    let mut nodes = Vec::new();
+    let indices: Vec<usize> = (0..data.len()).collect();
+    cart_grow(data, &config, &mut nodes, indices, 0);
+    nodes
+}
+
+fn cart_grow(
+    data: &Dataset,
+    config: &CartConfig,
+    nodes: &mut Vec<CartNode>,
+    indices: Vec<usize>,
+    depth: usize,
+) -> usize {
+    let mean = indices.iter().map(|&i| data.sample(i).cpi()).sum::<f64>() / indices.len() as f64;
+    let stop = depth >= config.max_depth || indices.len() < 2 * config.min_leaf;
+    let split = if stop {
+        None
+    } else {
+        cart_best_split(data, &indices, config.min_leaf)
+    };
+    match split {
+        None => {
+            nodes.push(CartNode::Leaf { value: mean });
+            nodes.len() - 1
+        }
+        Some((event, threshold)) => {
+            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
+                .iter()
+                .partition(|&&i| data.sample(i).get(event) <= threshold);
+            let slot = nodes.len();
+            nodes.push(CartNode::Leaf { value: mean });
+            let left = cart_grow(data, config, nodes, left_idx, depth + 1);
+            let right = cart_grow(data, config, nodes, right_idx, depth + 1);
+            nodes[slot] = CartNode::Split {
+                event,
+                threshold,
+                left,
+                right,
+            };
+            slot
+        }
+    }
+}
+
+fn cart_best_split(data: &Dataset, indices: &[usize], min_leaf: usize) -> Option<(EventId, f64)> {
+    let n = indices.len();
+    let total_sum: f64 = indices.iter().map(|&i| data.sample(i).cpi()).sum();
+    let total_sum_sq: f64 = indices
+        .iter()
+        .map(|&i| {
+            let y = data.sample(i).cpi();
+            y * y
+        })
+        .sum();
+    let base_sse = total_sum_sq - total_sum * total_sum / n as f64;
+    if base_sse <= 1e-12 {
+        return None;
+    }
+
+    let mut best: Option<(EventId, f64, f64)> = None;
+    let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(n);
+    for event in EventId::ALL {
+        pairs.clear();
+        pairs.extend(indices.iter().map(|&i| {
+            let s = data.sample(i);
+            (s.get(event), s.cpi())
+        }));
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        if pairs[0].0 == pairs[n - 1].0 {
+            continue;
+        }
+        let mut left_sum = 0.0;
+        let mut left_sum_sq = 0.0;
+        for i in 0..n - 1 {
+            let (value, y) = pairs[i];
+            left_sum += y;
+            left_sum_sq += y * y;
+            if value == pairs[i + 1].0 {
+                continue;
+            }
+            let n_left = (i + 1) as f64;
+            let n_right = (n - i - 1) as f64;
+            if (i + 1) < min_leaf || (n - i - 1) < min_leaf {
+                continue;
+            }
+            let sse_left = left_sum_sq - left_sum * left_sum / n_left;
+            let right_sum = total_sum - left_sum;
+            let sse_right = (total_sum_sq - left_sum_sq) - right_sum * right_sum / n_right;
+            let sse = sse_left + sse_right;
+            if best.as_ref().is_none_or(|&(_, _, b)| sse < b) && sse < base_sse - 1e-12 {
+                best = Some((event, 0.5 * (value + pairs[i + 1].0), sse));
+            }
+        }
+    }
+    best.map(|(e, t, _)| (e, t))
+}
+
+/// Compares a CART node vector against the oracle's: structure, events
+/// and child links exactly, thresholds and leaf values by `to_bits`.
+///
+/// # Errors
+///
+/// Describes the first differing node.
+pub fn compare_cart(nodes: &[CartNode], reference: &[CartNode]) -> Result<(), String> {
+    if nodes.len() != reference.len() {
+        return Err(format!(
+            "{} nodes vs reference {}",
+            nodes.len(),
+            reference.len()
+        ));
+    }
+    for (at, (node, r)) in nodes.iter().zip(reference).enumerate() {
+        let same = match (node, r) {
+            (CartNode::Leaf { value }, CartNode::Leaf { value: rv }) => bits_eq(*value, *rv),
+            (
+                CartNode::Split {
+                    event,
+                    threshold,
+                    left,
+                    right,
+                },
+                CartNode::Split {
+                    event: re,
+                    threshold: rt,
+                    left: rl,
+                    right: rr,
+                },
+            ) => event == re && bits_eq(*threshold, *rt) && left == rl && right == rr,
+            _ => false,
+        };
+        if !same {
+            return Err(format!("node {at}: {node:?} vs reference {r:?}"));
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// QR oracle
+// ---------------------------------------------------------------------
+
+/// Householder QR walking the row-major matrix column by column — the
+/// differential oracle for [`mathkit::qr::qr`], which runs the same
+/// steps on column-major working copies. Returns the thin `(Q, R)`.
+///
+/// # Panics
+///
+/// Panics if `a` has more columns than rows.
+pub fn householder_qr(a: &Matrix) -> (Matrix, Matrix) {
+    let (m, n) = a.shape();
+    assert!(m >= n, "QR requires rows >= cols, got {m}x{n}");
+    let mut r = a.clone();
+    let mut vs: Vec<Vec<f64>> = Vec::with_capacity(n);
+
+    for k in 0..n {
+        let norm_x = (k..m).map(|i| r[(i, k)] * r[(i, k)]).sum::<f64>().sqrt();
+        let mut v = vec![0.0; m - k];
+        if norm_x > 0.0 {
+            let alpha = if r[(k, k)] >= 0.0 { -norm_x } else { norm_x };
+            for (i, vi) in v.iter_mut().enumerate() {
+                *vi = r[(k + i, k)];
+            }
+            v[0] -= alpha;
+            let norm_v = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+            if norm_v > 0.0 {
+                for vi in v.iter_mut() {
+                    *vi /= norm_v;
+                }
+                for c in k..n {
+                    let dot = (0..m - k).map(|i| v[i] * r[(k + i, c)]).sum::<f64>();
+                    for i in 0..m - k {
+                        r[(k + i, c)] -= 2.0 * v[i] * dot;
+                    }
+                }
+            }
+        }
+        vs.push(v);
+    }
+
+    let mut q = Matrix::zeros(m, n);
+    for c in 0..n {
+        q[(c, c)] = 1.0;
+    }
+    for k in (0..n).rev() {
+        let v = &vs[k];
+        if v.iter().all(|&x| x == 0.0) {
+            continue;
+        }
+        for c in 0..n {
+            let dot = (0..m - k).map(|i| v[i] * q[(k + i, c)]).sum::<f64>();
+            for i in 0..m - k {
+                q[(k + i, c)] -= 2.0 * v[i] * dot;
+            }
+        }
+    }
+
+    let mut r_thin = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in i..n {
+            r_thin[(i, j)] = r[(i, j)];
+        }
+    }
+    (q, r_thin)
+}
+
+/// Least squares through [`householder_qr`], with the same singularity
+/// test and back substitution as [`mathkit::qr::least_squares`]; `None`
+/// where that returns [`mathkit::MathError::Singular`].
+///
+/// # Panics
+///
+/// Panics if `y.len() != a.rows()` or `a` is wider than tall.
+pub fn qr_least_squares(a: &Matrix, y: &[f64]) -> Option<Vec<f64>> {
+    let n = a.cols();
+    let (q, r) = householder_qr(a);
+    let min_diag = (0..n)
+        .map(|i| r[(i, i)].abs())
+        .fold(f64::INFINITY, f64::min);
+    if min_diag <= 1e-10 * r.max_abs().max(1.0) {
+        return None;
+    }
+    let qty = q.transpose_matvec(y).expect("target length matches rows");
+    let mut beta = vec![0.0; n];
+    for i in (0..n).rev() {
+        let mut acc = qty[i];
+        for j in (i + 1)..n {
+            acc -= r[(i, j)] * beta[j];
+        }
+        beta[i] = acc / r[(i, i)];
+    }
+    Some(beta)
 }

@@ -1,4 +1,4 @@
-//! Pure artifact renderers for the E2–E8 experiments.
+//! Pure artifact renderers for the E2–E8 and E10 experiments.
 //!
 //! Each function returns the exact text its experiment binary prints,
 //! so the binaries stay thin stdout wrappers and the testkit golden
@@ -9,13 +9,15 @@
 
 use std::fmt::Write;
 
-use baselines::{CartConfig, OlsRegressor, RegressionTree, Regressor};
+use baselines::{CartConfig, KnnRegressor, OlsRegressor, RegressionTree, Regressor};
 use characterize::{ProfileTable, SimilarityMatrix};
 use modeltree::{display, ModelTree};
 use perfcounters::Dataset;
 use pipeline::{
     DatasetInput, DatasetSpec, PipelineContext, SplitPart, SplitSpec, TransferSplit, TreeSpec,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde_json::json;
 use spec_stats::PredictionMetrics;
 use transfer::matrix::hardest_member;
@@ -409,6 +411,82 @@ pub fn generation_matrix(matrix: &TransferMatrix) -> String {
     )
     .unwrap();
     text
+}
+
+/// Experiment E10 — the M5' model tree against the OLS, CART and k-NN
+/// baseline regressors (the related-work comparison of the paper's
+/// reference \[15\]) on a 50/50 split of both suites
+/// (`results/baselines_cmp.txt`).
+///
+/// The splits and the M5' trees resolve through `ctx`; the baseline
+/// regressors are cheap one-off fits and stay direct.
+pub fn baselines_cmp(ctx: &PipelineContext) -> String {
+    let mut text = String::new();
+    writeln!(
+        text,
+        "Model tree vs baselines (paper ref [15]: model trees match ANN/SVM accuracy"
+    )
+    .unwrap();
+    writeln!(
+        text,
+        "while staying interpretable; a single linear model cannot):\n"
+    )
+    .unwrap();
+    compare_baselines(&mut text, ctx, "SPEC CPU2006", DatasetSpec::cpu2006());
+    compare_baselines(&mut text, ctx, "SPEC OMP2001", DatasetSpec::omp2001());
+    text
+}
+
+fn compare_baselines(text: &mut String, ctx: &PipelineContext, suite: &str, spec: DatasetSpec) {
+    let evaluate = |text: &mut String, name: &str, predictions: &[f64], test: &Dataset| {
+        let metrics =
+            PredictionMetrics::from_predictions(predictions, &test.cpis()).expect("non-empty");
+        writeln!(text, "  {name:<22} {metrics}").unwrap();
+    };
+    let split = SplitSpec::new(spec, SEED_SPLIT, 0.5);
+    let (train, test) = ctx.split(&split).expect("suite generates");
+    writeln!(text, "{suite}: train {} / test {}", train.len(), test.len()).unwrap();
+
+    let tree = ctx
+        .tree(&TreeSpec {
+            input: DatasetInput::SplitPart(split, SplitPart::First),
+            config: suite_tree_config(train.len()),
+        })
+        .expect("training half fits");
+    evaluate(text, "M5' model tree", &tree.predict_all(&test), &test);
+
+    let ols = OlsRegressor::fit(&train).expect("ols");
+    evaluate(text, "global linear (OLS)", &ols.predict_all(&test), &test);
+
+    let cart = RegressionTree::fit(
+        &train,
+        CartConfig {
+            min_leaf: (train.len() / 240).max(4),
+            max_depth: 14,
+        },
+    )
+    .expect("cart");
+    evaluate(
+        text,
+        "CART (constant leaves)",
+        &cart.predict_all(&test),
+        &test,
+    );
+
+    let knn = KnnRegressor::fit(&train, 15).expect("knn");
+    // k-NN is O(n) per query; evaluate on a subsample for tractability.
+    let mut rng = StdRng::seed_from_u64(SEED_SPLIT + 1);
+    let (test_small, _) = test.split_random(
+        &mut rng,
+        2_000.0_f64.min(test.len() as f64) / test.len() as f64,
+    );
+    evaluate(
+        text,
+        "k-NN (k=15, subsample)",
+        &knn.predict_all(&test_small),
+        &test_small,
+    );
+    writeln!(text).unwrap();
 }
 
 fn tree_summary(tree: &ModelTree, train_mae: f64) -> serde_json::Value {

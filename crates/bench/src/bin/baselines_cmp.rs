@@ -1,93 +1,16 @@
 //! Experiment E10 — model tree vs baseline regressors (the related-work
 //! comparison of the paper's reference \[15\]) on both suites.
 //!
-//! The 50/50 splits and the M5' trees resolve through the pipeline's
-//! artifact store; the baseline regressors (OLS, CART, k-NN) are cheap
-//! one-off fits and stay direct.
+//! All rendering lives in [`spec_bench::artifacts::baselines_cmp`] so
+//! the testkit golden-snapshot suite can enforce
+//! `results/baselines_cmp.txt`. The 50/50 splits and the M5' trees
+//! resolve through the pipeline's artifact store.
 
-use std::io::Write;
-
-use baselines::{CartConfig, KnnRegressor, OlsRegressor, RegressionTree, Regressor};
-use perfcounters::Dataset;
-use pipeline::{
-    output, DatasetInput, DatasetSpec, PipelineContext, SplitPart, SplitSpec, TreeSpec,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use spec_bench::{suite_tree_config, SEED_SPLIT};
-use spec_stats::PredictionMetrics;
-
-fn evaluate(out: &mut impl Write, name: &str, predictions: &[f64], test: &Dataset) {
-    let metrics =
-        PredictionMetrics::from_predictions(predictions, &test.cpis()).expect("non-empty");
-    let _ = writeln!(out, "  {name:<22} {metrics}");
-}
-
-fn compare(out: &mut impl Write, ctx: &PipelineContext, suite_name: &str, spec: DatasetSpec) {
-    let split = SplitSpec::new(spec, SEED_SPLIT, 0.5);
-    let (train, test) = ctx.split(&split).expect("suite generates");
-    let _ = writeln!(
-        out,
-        "{suite_name}: train {} / test {}",
-        train.len(),
-        test.len()
-    );
-
-    let tree = ctx
-        .tree(&TreeSpec {
-            input: DatasetInput::SplitPart(split, SplitPart::First),
-            config: suite_tree_config(train.len()),
-        })
-        .expect("training half fits");
-    evaluate(out, "M5' model tree", &tree.predict_all(&test), &test);
-
-    let ols = OlsRegressor::fit(&train).expect("ols");
-    evaluate(out, "global linear (OLS)", &ols.predict_all(&test), &test);
-
-    let cart = RegressionTree::fit(
-        &train,
-        CartConfig {
-            min_leaf: (train.len() / 240).max(4),
-            max_depth: 14,
-        },
-    )
-    .expect("cart");
-    evaluate(
-        out,
-        "CART (constant leaves)",
-        &cart.predict_all(&test),
-        &test,
-    );
-
-    let knn = KnnRegressor::fit(&train, 15).expect("knn");
-    // k-NN is O(n) per query; evaluate on a subsample for tractability.
-    let mut rng = StdRng::seed_from_u64(SEED_SPLIT + 1);
-    let (test_small, _) = test.split_random(
-        &mut rng,
-        2_000.0_f64.min(test.len() as f64) / test.len() as f64,
-    );
-    evaluate(
-        out,
-        "k-NN (k=15, subsample)",
-        &knn.predict_all(&test_small),
-        &test_small,
-    );
-    let _ = writeln!(out);
-}
+use pipeline::{output, PipelineContext};
+use spec_bench::artifacts;
 
 fn main() {
     // SPECREPRO_TRACE_OUT / SPECREPRO_METRICS_OUT capture this run's telemetry.
     let _obs = obskit::ObsSession::from_env();
-    let ctx = PipelineContext::from_env();
-    let out = &mut output::stdout();
-    let _ = writeln!(
-        out,
-        "Model tree vs baselines (paper ref [15]: model trees match ANN/SVM accuracy"
-    );
-    let _ = writeln!(
-        out,
-        "while staying interpretable; a single linear model cannot):\n"
-    );
-    compare(out, &ctx, "SPEC CPU2006", DatasetSpec::cpu2006());
-    compare(out, &ctx, "SPEC OMP2001", DatasetSpec::omp2001());
+    output::print(&artifacts::baselines_cmp(&PipelineContext::from_env()));
 }

@@ -1,4 +1,4 @@
-//! Golden-snapshot enforcement for the E2–E8 `results/` artifacts and
+//! Golden-snapshot enforcement for the E2–E8 and E10 `results/` artifacts and
 //! the machine-readable `results/report.json`.
 //!
 //! Each test renders its experiment through the same pure
@@ -114,4 +114,11 @@ fn generation_matrix_matches_golden_for_every_thread_count() {
 #[test]
 fn report_matches_golden() {
     enforce("report.json", &artifacts::report(ctx()));
+}
+
+/// E10 — the M5' tree against the OLS, CART and k-NN baselines on a
+/// 50/50 split of both suites.
+#[test]
+fn baselines_cmp_matches_golden() {
+    enforce("baselines_cmp.txt", &artifacts::baselines_cmp(ctx()));
 }

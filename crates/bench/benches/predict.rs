@@ -2,7 +2,7 @@
 //! compiled engine vs interpreted tree walk at full experiment scale).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use modeltree::{M5Config, ModelTree, Precision};
+use modeltree::{M5Config, ModelTree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spec_bench::{cpu2006_dataset, fit_suite_tree};
@@ -56,29 +56,5 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// The three serial engine kernels head-to-head: scalar oracle, SIMD
-/// f64 (bit-identical to it), and the quantized f32 fast path. CI's
-/// bench-smoke `--test` pass keeps all three paths compiling and
-/// running.
-fn bench_simd(c: &mut Criterion) {
-    let data = cpu2006_dataset();
-    let tree = fit_suite_tree(&data);
-    let scalar = tree.compile().with_n_threads(1).with_simd(false);
-    let simd = tree.compile().with_n_threads(1).with_simd(true);
-    let fast = tree
-        .compile()
-        .with_n_threads(1)
-        .with_simd(true)
-        .with_precision(Precision::F32Fast);
-
-    let mut group = c.benchmark_group("predict_simd");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(data.len() as u64));
-    group.bench_function("scalar/60k", |b| b.iter(|| scalar.predict_batch(&data)));
-    group.bench_function("simd_f64/60k", |b| b.iter(|| simd.predict_batch(&data)));
-    group.bench_function("f32_fast/60k", |b| b.iter(|| fast.predict_batch(&data)));
-    group.finish();
-}
-
-criterion_group!(benches, bench_predict, bench_engines, bench_simd);
+criterion_group!(benches, bench_predict, bench_engines);
 criterion_main!(benches);

@@ -4,10 +4,9 @@
 //! batches — often 1–64 rows between flush triggers — where the
 //! per-call kernel setup (resolving used columns, node → lane and term
 //! → lane slot maps) used to rival the arithmetic itself. The engine
-//! now hoists that resolution into a cached `KernelPlan` built once per
-//! compiled tree; this bench pins the win by running the same batch
-//! sizes with the plan cache on (`plan_cached`, the serving
-//! configuration) and off (`plan_rebuilt`, the old per-call behavior).
+//! hoists that resolution into a `KernelPlan` built once per compiled
+//! tree and cached; this bench times the small-batch sizes the server
+//! sees with the plan cached (`plan_cached`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use perfcounters::Dataset;
@@ -28,8 +27,6 @@ fn bench_serve_kernel(c: &mut Criterion) {
     let data = cpu2006_dataset();
     let tree = fit_suite_tree(&data);
     let cached = tree.compile().with_n_threads(1);
-    let rebuilt = tree.compile().with_n_threads(1).with_plan_caching(false);
-    assert!(cached.plan_caching() && !rebuilt.plan_caching());
 
     let mut group = c.benchmark_group("serve_kernel");
     for &batch in &[1usize, 4, 16, 64] {
@@ -37,9 +34,6 @@ fn bench_serve_kernel(c: &mut Criterion) {
         group.throughput(Throughput::Elements(batch as u64));
         group.bench_with_input(BenchmarkId::new("plan_cached", batch), &rows, |b, rows| {
             b.iter(|| cached.predict_batch(rows));
-        });
-        group.bench_with_input(BenchmarkId::new("plan_rebuilt", batch), &rows, |b, rows| {
-            b.iter(|| rebuilt.predict_batch(rows));
         });
     }
     group.finish();

@@ -3,15 +3,14 @@
 //! Compares the presorted columnar scan (sort once at the root, maintain
 //! sorted order by stable partition, prefix-sum threshold scans) against
 //! the naive algorithm it replaced, which re-sorted every attribute at
-//! every node. The `presorted` timings measure [`find_best_split`] with
-//! the [`NodeSet`] built outside the loop — the true per-node cost during
-//! tree growth — while `naive` pays the per-node sort each call, as the
-//! old implementation did.
+//! every node. The `presorted` timings measure [`find_best_split`] (and
+//! with it the vectorized threshold scan) with the [`NodeSet`] built
+//! outside the loop — the true per-node cost during tree growth — while
+//! `naive` pays the per-node sort each call, as the old implementation
+//! did.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use modeltree::split::{
-    find_best_split, find_best_split_with, Columns, SortArena, Split, TargetStats,
-};
+use modeltree::split::{find_best_split, Columns, SortArena, Split, TargetStats};
 use perfcounters::{Dataset, EventId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,30 +98,5 @@ fn bench_split_search(c: &mut Criterion) {
     group.finish();
 }
 
-/// The vectorized threshold scan against the scalar scan it shadows
-/// bit-for-bit, at the root node where the scan is longest.
-fn bench_split_scan_simd(c: &mut Criterion) {
-    let mut group = c.benchmark_group("split_scan_simd");
-    group.sample_size(20);
-    for &n in &[20_000usize, 50_000] {
-        let mut rng = StdRng::seed_from_u64(20_080_403);
-        let data = Suite::cpu2006().generate(&mut rng, n, &GeneratorConfig::default());
-        let min_leaf = (n / 120).max(4);
-
-        let cols = Columns::new(&data);
-        let mut arena = SortArena::root(&cols);
-        let set = arena.node_set();
-        let stats = TargetStats::compute(cols.cpi, &set.indices);
-
-        group.bench_with_input(BenchmarkId::new("scalar", n), &(), |b, ()| {
-            b.iter(|| find_best_split_with(&cols, &set, min_leaf, &stats, 1, false))
-        });
-        group.bench_with_input(BenchmarkId::new("simd", n), &(), |b, ()| {
-            b.iter(|| find_best_split_with(&cols, &set, min_leaf, &stats, 1, true))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_split_search, bench_split_scan_simd);
+criterion_group!(benches, bench_split_search);
 criterion_main!(benches);

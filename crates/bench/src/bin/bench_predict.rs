@@ -1,14 +1,11 @@
-//! Prediction-throughput snapshot across every engine kernel.
+//! Prediction-throughput snapshot of the compiled engine.
 //!
 //! Times `predict_all` over the canonical 60k-sample CPU2006 dataset
-//! five ways — interpreted per-sample tree walk, compiled scalar oracle
-//! kernel, compiled SIMD f64 kernel, compiled f32 quantized fast path,
-//! and the SIMD kernel under a full thread budget — and verifies the
-//! exactness ladder on every sample: the f64 kernels agree with the
-//! interpreter within 1e-10, SIMD f64 is **bit-identical** to the
-//! scalar kernel, and the f32 fast path stays within its analytically
-//! recorded per-leaf error bound. The JSON snapshot backs the ISSUE 6
-//! acceptance criterion (SIMD f64 ≥ 2× the scalar serial kernel).
+//! three ways — interpreted per-sample tree walk, the compiled SIMD f64
+//! batch kernel on one thread, and the same kernel under a full thread
+//! budget — and verifies exactness on every sample: both batch runs
+//! agree with the interpreter within 1e-10 and are **bit-identical**
+//! to the engine's per-sample `CompiledTree::predict`.
 //!
 //! `cargo run --release -p spec-bench --bin bench_predict [output.json]`
 //! (default output: `results/BENCH_predict.json`).
@@ -41,15 +38,9 @@ fn main() {
 
     let ctx = PipelineContext::from_env();
     let (data, tree) = cpu2006_artifacts(&ctx);
-    let scalar = tree.compile().with_n_threads(1).with_simd(false);
-    let simd = tree.compile().with_n_threads(1).with_simd(true);
-    let fast = tree
-        .compile()
-        .with_n_threads(1)
-        .with_simd(true)
-        .with_precision(modeltree::Precision::F32Fast);
+    let simd = tree.compile().with_n_threads(1);
     let threads = std::thread::available_parallelism().map_or(4, usize::from);
-    let parallel = tree.compile().with_n_threads(threads).with_simd(true);
+    let parallel = tree.compile().with_n_threads(threads);
 
     // Interleave the engines round-robin and keep each one's best
     // round: on a noisy shared host a contiguous burst per engine
@@ -62,22 +53,12 @@ fn main() {
             .collect::<Vec<f64>>()
     };
     let mut interpreted = interp_run();
-    let mut p_scalar = scalar.predict_batch(&data);
     let mut p_simd = simd.predict_batch(&data);
-    let mut p_f32 = fast.predict_batch(&data);
     let mut p_par = parallel.predict_batch(&data);
-    let (mut t_interp, mut t_scalar, mut t_simd, mut t_f32, mut t_par) = (
-        f64::INFINITY,
-        f64::INFINITY,
-        f64::INFINITY,
-        f64::INFINITY,
-        f64::INFINITY,
-    );
+    let (mut t_interp, mut t_simd, mut t_par) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
         interpreted = timed(&mut t_interp, interp_run);
-        p_scalar = timed(&mut t_scalar, || scalar.predict_batch(&data));
         p_simd = timed(&mut t_simd, || simd.predict_batch(&data));
-        p_f32 = timed(&mut t_f32, || fast.predict_batch(&data));
         p_par = timed(&mut t_par, || parallel.predict_batch(&data));
     }
 
@@ -87,51 +68,28 @@ fn main() {
             .map(|(x, y)| (x - y).abs())
             .fold(0.0f64, f64::max)
     };
-    let diff_scalar = max_abs_diff(&interpreted, &p_scalar);
     let diff_simd = max_abs_diff(&interpreted, &p_simd);
     let diff_par = max_abs_diff(&interpreted, &p_par);
     assert!(
-        diff_scalar <= 1e-10 && diff_simd <= 1e-10 && diff_par <= 1e-10,
-        "f64 engine/interpreter disagreement: scalar {diff_scalar:e}, \
-         simd {diff_simd:e}, parallel {diff_par:e}"
+        diff_simd <= 1e-10 && diff_par <= 1e-10,
+        "engine/interpreter disagreement: simd {diff_simd:e}, parallel {diff_par:e}"
     );
-    let simd_bit_identical = p_scalar
+    let per_sample: Vec<f64> = (0..data.len())
+        .map(|i| simd.predict(data.sample(i)))
+        .collect();
+    let bit_identical = per_sample
         .iter()
         .zip(&p_simd)
-        .chain(p_scalar.iter().zip(&p_par))
+        .chain(per_sample.iter().zip(&p_par))
         .all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(
-        simd_bit_identical,
-        "SIMD f64 kernel diverged from the scalar oracle"
+        bit_identical,
+        "batch kernel diverged from per-sample CompiledTree::predict"
     );
-
-    // The f32 fast path: worst observed error against the f64 engine
-    // and the worst analytic per-leaf bound, checked sample by sample
-    // wherever both precisions classify alike (everywhere, on this
-    // dataset's threshold margins).
-    let mut f32_max_err = 0.0f64;
-    let mut f32_max_bound = 0.0f64;
-    let mut f32_comparable = 0usize;
-    for i in 0..data.len() {
-        let s = data.sample(i);
-        if fast.classify(s) == scalar.classify(s) {
-            let err = (p_scalar[i] - p_f32[i]).abs();
-            let bound = fast
-                .f32_error_bound(s)
-                .expect("quantized engine has bounds");
-            assert!(
-                err <= bound,
-                "sample {i}: f32 error {err:e} exceeds bound {bound:e}"
-            );
-            f32_max_err = f32_max_err.max(err);
-            f32_max_bound = f32_max_bound.max(bound);
-            f32_comparable += 1;
-        }
-    }
 
     let rate = |secs: f64| (data.len() as f64 / secs).round();
     let report = json!({
-        "experiment": "engine kernel predict_all throughput (scalar / SIMD f64 / f32 fast)",
+        "experiment": "engine kernel predict_all throughput (interpreted / SIMD f64 / parallel)",
         "dataset": {
             "suite": "cpu2006",
             "seed": SEED_CPU2006,
@@ -141,22 +99,10 @@ fn main() {
         "n_cpus": threads,
         "timing_best_of": reps,
         "interpreted": { "seconds": t_interp, "samples_per_sec": rate(t_interp) },
-        "compiled_scalar": {
-            "seconds": t_scalar,
-            "samples_per_sec": rate(t_scalar),
-            "speedup_vs_interpreted": t_interp / t_scalar,
-        },
         "compiled_simd_f64": {
             "seconds": t_simd,
             "samples_per_sec": rate(t_simd),
             "speedup_vs_interpreted": t_interp / t_simd,
-            "speedup_vs_scalar": t_scalar / t_simd,
-        },
-        "compiled_f32_fast": {
-            "seconds": t_f32,
-            "samples_per_sec": rate(t_f32),
-            "speedup_vs_interpreted": t_interp / t_f32,
-            "speedup_vs_scalar": t_scalar / t_f32,
         },
         "compiled_parallel": {
             "n_threads": threads,
@@ -166,13 +112,9 @@ fn main() {
         },
         "exactness": {
             "tolerance": 1e-10,
-            "max_abs_diff_scalar": diff_scalar,
             "max_abs_diff_simd": diff_simd,
             "max_abs_diff_parallel": diff_par,
-            "simd_bit_identical_to_scalar": simd_bit_identical,
-            "f32_max_abs_err": f32_max_err,
-            "f32_max_bound": f32_max_bound,
-            "f32_rows_compared": f32_comparable,
+            "bit_identical_to_per_sample": bit_identical,
         },
     });
     let body = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -186,10 +128,8 @@ fn main() {
         );
     };
     row("interpreted", t_interp);
-    row("compiled scalar", t_scalar);
     row("compiled simd", t_simd);
-    row("compiled f32", t_f32);
     row(&format!("compiled par{threads}"), t_par);
-    println!("max |diff| simd {diff_simd:e}; f32 err {f32_max_err:e} <= bound {f32_max_bound:e}");
+    println!("max |diff| simd {diff_simd:e}; bit-identical to per-sample: {bit_identical}");
     println!("wrote {path}");
 }

@@ -53,7 +53,7 @@ pub mod simd;
 pub mod split;
 pub mod tree;
 
-pub use compiled::{CompiledTree, Precision};
+pub use compiled::CompiledTree;
 pub use config::M5Config;
 pub use crossval::{k_fold, CrossValidation};
 pub use linreg::LinearModel;

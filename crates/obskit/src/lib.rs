@@ -150,12 +150,10 @@ pub fn emit(
 }
 
 /// Whether structured events should be mirrored to stderr, from the
-/// environment: `SPECREPRO_OBS_LOG`, falling back to the legacy
-/// `SPECREPRO_PIPELINE_LOG` alias. Matching the pipeline's historical
-/// behavior, logging defaults **on** and is silenced by `0` / `off`.
+/// `SPECREPRO_OBS_LOG` environment variable: logging defaults **on**
+/// and is silenced by `0` / `off`.
 pub fn log_env_enabled() -> bool {
-    let value =
-        std::env::var("SPECREPRO_OBS_LOG").or_else(|_| std::env::var("SPECREPRO_PIPELINE_LOG"));
+    let value = std::env::var("SPECREPRO_OBS_LOG");
     !matches!(value.as_deref(), Ok("0") | Ok("off"))
 }
 

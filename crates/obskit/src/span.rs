@@ -191,7 +191,7 @@ pub fn complete_since(
 /// fields, and/or prints it as one structured stderr line. The two
 /// sinks are independent: tracing captures the event into the trace
 /// buffer whenever enabled, `log_to_stderr` mirrors it to stderr for
-/// the human watching a run (the `SPECREPRO_PIPELINE_LOG` surface).
+/// the human watching a run (the `SPECREPRO_OBS_LOG` surface).
 ///
 /// Fields are rendered only when a sink is active, so an inert call
 /// does not format or allocate.

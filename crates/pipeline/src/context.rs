@@ -89,8 +89,7 @@ pub struct PipelineContext {
 impl PipelineContext {
     /// A context over the environment-selected disk store (see
     /// [`ArtifactStore::from_env`]). Stage logging is enabled unless
-    /// `SPECREPRO_OBS_LOG` — or its legacy alias
-    /// `SPECREPRO_PIPELINE_LOG` — is `0`/`off`.
+    /// `SPECREPRO_OBS_LOG` is `0`/`off`.
     pub fn from_env() -> Self {
         PipelineContext::with_store(ArtifactStore::from_env())
             .with_logging(obskit::log_env_enabled())
@@ -143,7 +142,7 @@ impl PipelineContext {
     /// Emits one structured pipeline event: an instant event into the
     /// obskit trace buffer whenever tracing is enabled, plus a
     /// `[pipeline] name k=v` stderr line when this context's logging is
-    /// on (the `SPECREPRO_PIPELINE_LOG` surface). Field values are only
+    /// on (the `SPECREPRO_OBS_LOG` surface). Field values are only
     /// rendered when a sink is active.
     fn event(&self, name: &'static str, fields: &[(&str, &dyn std::fmt::Display)]) {
         obskit::emit("pipeline", name, fields, self.logging);

@@ -45,9 +45,8 @@ use pipeline::PipelineContext;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::json;
-use serve::{
-    CoalescerConfig, LoadgenConfig, LoadgenReport, Mode, ModelRegistry, Server, ServerConfig,
-};
+use serve::{CoalescerConfig, ModelRegistry, Server, ServerConfig};
+use spec_bench::loadgen::{self, LoadgenConfig, LoadgenReport, Mode};
 use spec_bench::{cpu2006_artifacts, N_SAMPLES, SEED_CPU2006};
 use workloads::generator::{GeneratorConfig, Suite};
 
@@ -78,7 +77,7 @@ fn drive(
     connections: usize,
     mode: Mode,
 ) -> LoadgenReport {
-    let report = serve::loadgen::run(
+    let report = loadgen::run(
         &LoadgenConfig {
             addr: addr.to_string(),
             connections,
@@ -184,7 +183,7 @@ fn smoke(args: &[String]) {
     };
 
     let total = 2000;
-    let report = serve::loadgen::run(
+    let report = loadgen::run(
         &LoadgenConfig {
             addr: addr.clone(),
             connections: 2,

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use transfer::{MatrixSpec, TransferMatrix};
 
 pub mod artifacts;
+pub mod loadgen;
 
 pub use pipeline::{suite_tree_config, N_SAMPLES, SEED_CPU2006, SEED_OMP2001, SEED_SPLIT};
 

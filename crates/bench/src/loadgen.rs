@@ -1,4 +1,5 @@
-//! Open-loop and saturating load generation against a running server.
+//! Open-loop and saturating load generation against a running
+//! `serve::Server`, used by `bench_serve` and the CI smoke job.
 //!
 //! **Open loop** ([`Mode::OpenLoop`]) models independent users: request
 //! `i` of `n` is *scheduled* at `t₀ + i/rate` regardless of how the
@@ -423,7 +424,7 @@ mod tests {
     fn request_blob_is_valid_http() {
         let row = vec![0.5; N_EVENTS];
         let blob = render_request("/predict", &row);
-        let parsed = crate::http::parse_request(&blob).unwrap().unwrap();
+        let parsed = serve::http::parse_request(&blob).unwrap().unwrap();
         assert_eq!(parsed.0.method, "POST");
         assert_eq!(parsed.0.path, "/predict");
         assert_eq!(parsed.1, blob.len());

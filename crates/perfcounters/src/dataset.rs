@@ -49,6 +49,12 @@ impl ColumnStore {
         &self.events[event.index() * self.n..(event.index() + 1) * self.n]
     }
 
+    /// Every event column, concatenated event-major: column `e`
+    /// occupies `e.index() * len() .. (e.index() + 1) * len()`.
+    pub fn events(&self) -> &[f64] {
+        &self.events
+    }
+
     /// The contiguous CPI column.
     pub fn cpi(&self) -> &[f64] {
         &self.cpi
@@ -137,8 +143,7 @@ impl Dataset {
     /// Rebuilds a dataset from raw parts: one sample per label (indexes
     /// into `benchmarks`), exactly as observable through
     /// [`Dataset::sample`], [`Dataset::label`], and
-    /// [`Dataset::benchmark_names`]. This is the constructor binary
-    /// deserializers use to reproduce a dataset bit-for-bit.
+    /// [`Dataset::benchmark_names`].
     ///
     /// # Errors
     ///
@@ -174,6 +179,44 @@ impl Dataset {
             labels,
             benchmarks,
             columns: OnceLock::new(),
+        })
+    }
+
+    /// Rebuilds a dataset bit-for-bit from decoded columns: row `i` has
+    /// label `labels[i]`, CPI `cpi[i]` and event `e` at
+    /// `events[e * n + i]` (event-major). The columns become the cached
+    /// [`ColumnStore`], so the first [`Dataset::columns`] call is free.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::Parse`] when the column lengths disagree, or
+    /// for any defect [`Dataset::from_parts`] rejects.
+    pub fn from_columns(
+        labels: Vec<u32>,
+        cpi: Vec<f64>,
+        events: Vec<f64>,
+        benchmarks: Vec<String>,
+    ) -> Result<Dataset> {
+        let n = labels.len();
+        if cpi.len() != n || events.len() != N_EVENTS * n {
+            return Err(DataError::Parse(format!(
+                "{n} labels but {} CPI values and {} event values",
+                cpi.len(),
+                events.len()
+            )));
+        }
+        let samples = (0..n)
+            .map(|i| {
+                let mut s = Sample::zeros(cpi[i]);
+                for (e, d) in s.densities_mut().iter_mut().enumerate() {
+                    *d = events[e * n + i];
+                }
+                s
+            })
+            .collect();
+        Ok(Dataset {
+            columns: OnceLock::from(ColumnStore { n, events, cpi }),
+            ..Dataset::from_parts(samples, labels, benchmarks)?
         })
     }
 
@@ -252,6 +295,11 @@ impl Dataset {
     /// Panics if `i` is out of bounds.
     pub fn label(&self, i: usize) -> u32 {
         self.labels[i]
+    }
+
+    /// The label of every sample, in sample order.
+    pub fn labels(&self) -> &[u32] {
+        &self.labels
     }
 
     /// Name of a benchmark label, or `None` if unregistered.
@@ -547,6 +595,34 @@ mod tests {
         assert!(Dataset::from_parts(s.clone(), vec![1], vec!["a".into()]).is_err());
         assert!(Dataset::from_parts(s, vec![0], vec!["a".into(), "a".into()]).is_err());
         assert!(Dataset::from_parts(vec![], vec![], vec![]).is_ok());
+    }
+
+    #[test]
+    fn from_columns_matches_from_parts() {
+        let ds = tiny_dataset();
+        let cols = ds.columns();
+        let back = Dataset::from_columns(
+            ds.labels().to_vec(),
+            cols.cpi().to_vec(),
+            cols.events().to_vec(),
+            ds.benchmark_names().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(back, ds);
+        // The seeded column cache equals a freshly built one.
+        assert_eq!(back.columns(), ds.columns());
+    }
+
+    #[test]
+    fn from_columns_rejects_malformed() {
+        let ev = vec![0.0; N_EVENTS];
+        let a = || vec!["a".to_string()];
+        assert!(Dataset::from_columns(vec![0], vec![], ev.clone(), a()).is_err());
+        assert!(Dataset::from_columns(vec![0], vec![1.0], vec![0.0; 3], a()).is_err());
+        assert!(Dataset::from_columns(vec![1], vec![1.0], ev.clone(), a()).is_err());
+        let dup = vec!["a".to_string(), "a".to_string()];
+        assert!(Dataset::from_columns(vec![0], vec![1.0], ev, dup).is_err());
+        assert!(Dataset::from_columns(vec![], vec![], vec![], vec![]).is_ok());
     }
 
     #[test]

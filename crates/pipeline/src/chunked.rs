@@ -14,13 +14,13 @@
 //! footer     dir_offset | total_rows | "CDPS" | schema version
 //! ```
 //!
-//! Each chunk body is a self-contained columnar block (`rows`, labels,
-//! CPI bits, event columns, FNV-1a hash). The directory duplicates each
+//! A chunk body is a row count plus one [`crate::codec`] column block
+//! (labels, CPI bits, event columns). The directory duplicates each
 //! body's hash so a reader can verify a chunk without trusting the body
-//! bytes, and the fixed-size footer lets `open` find the directory with
-//! two seeks. Every region — header, each body, directory — carries its
-//! own integrity hash: a bit flip or truncation anywhere is a typed
-//! [`CodecError`], never a silent bad read.
+//! bytes; the fixed-size footer lets `open` find the directory with two
+//! seeks, and the header ends where the first body (or the directory)
+//! begins. Header, bodies and directory are each sealed by the codec,
+//! so a bit flip or truncation anywhere is a typed [`CodecError`].
 //!
 //! Writers append chunks as they are sealed (constant memory), then
 //! write the directory last. [`ChunkedWriter::append_chunk`] verifies
@@ -28,11 +28,13 @@
 //! fault harness, or a real torn write) is detected and rewritten in
 //! place before the directory ever references it.
 
-use crate::codec::CodecError;
+pub use crate::codec::DecodedChunk;
+
+use crate::codec::{preamble, put_columns, put_names, seal, unseal, CodecError, Reader, ROW_BYTES};
 use crate::fingerprint::{Fingerprint, FingerprintHasher, SCHEMA_VERSION};
 use modeltree::CompiledTree;
 use perfcounters::events::N_EVENTS;
-use perfcounters::{Dataset, Sample};
+use perfcounters::Dataset;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 
@@ -40,16 +42,8 @@ const CHUNKED_MAGIC: &[u8; 4] = b"SPDC";
 const FOOTER_MAGIC: &[u8; 4] = b"CDPS";
 /// `dir_offset u64 | total_rows u64 | magic | version u32`.
 const FOOTER_LEN: u64 = 8 + 8 + 4 + 4;
-/// Bytes one row occupies inside a chunk body (label + CPI + events).
-const ROW_BYTES: usize = 4 + 8 + 8 * N_EVENTS;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// Bytes one directory entry occupies.
+const ENTRY_BYTES: usize = 4 * 8;
 
 fn io_err(e: std::io::Error) -> CodecError {
     CodecError::Malformed(format!("container io: {e}"))
@@ -68,63 +62,6 @@ pub struct ChunkMeta {
     pub hash: u64,
 }
 
-/// One decoded chunk: a columnar block of rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedChunk {
-    /// Benchmark label per row.
-    pub labels: Vec<u32>,
-    /// CPI column.
-    pub cpi: Vec<f64>,
-    /// Event columns, concatenated event-major: event `e` occupies
-    /// `e * rows .. (e + 1) * rows`.
-    pub events: Vec<f64>,
-}
-
-impl DecodedChunk {
-    /// Rows in the chunk.
-    pub fn rows(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Appends rows `range` of this chunk as samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` exceeds the chunk's rows.
-    pub fn append_rows(
-        &self,
-        range: Range<usize>,
-        samples: &mut Vec<Sample>,
-        labels: &mut Vec<u32>,
-    ) {
-        let n = self.rows();
-        assert!(range.end <= n, "row range {range:?} outside chunk of {n}");
-        let mut densities = [0.0f64; N_EVENTS];
-        for i in range {
-            for (e, d) in densities.iter_mut().enumerate() {
-                *d = self.events[e * n + i];
-            }
-            samples.push(Sample::from_densities(self.cpi[i], &densities));
-            labels.push(self.labels[i]);
-        }
-    }
-
-    /// Materializes the chunk as a standalone [`Dataset`] sharing the
-    /// container's benchmark name table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Malformed`] when a label points outside
-    /// the name table.
-    pub fn to_dataset(&self, benchmarks: &[String]) -> Result<Dataset, CodecError> {
-        let mut samples = Vec::with_capacity(self.rows());
-        let mut labels = Vec::with_capacity(self.rows());
-        self.append_rows(0..self.rows(), &mut samples, &mut labels);
-        Dataset::from_parts(samples, labels, benchmarks.to_vec())
-            .map_err(|e| CodecError::Malformed(e.to_string()))
-    }
-}
-
 /// Encodes one columnar chunk body (labels, CPI, event columns) with a
 /// trailing integrity hash.
 ///
@@ -136,20 +73,9 @@ pub fn encode_chunk(labels: &[u32], cpi: &[f64], events: &[f64]) -> Vec<u8> {
     let rows = labels.len();
     assert_eq!(cpi.len(), rows, "cpi column length");
     assert_eq!(events.len(), N_EVENTS * rows, "event column length");
-    let mut out = Vec::with_capacity(4 + rows * ROW_BYTES + 8);
-    out.extend_from_slice(&(rows as u32).to_le_bytes());
-    for &l in labels {
-        out.extend_from_slice(&l.to_le_bytes());
-    }
-    for &v in cpi {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    for &v in events {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    let hash = fnv1a(&out);
-    out.extend_from_slice(&hash.to_le_bytes());
-    out
+    let mut out = (rows as u32).to_le_bytes().to_vec();
+    put_columns(&mut out, labels, cpi, events);
+    seal(out)
 }
 
 /// Decodes and verifies one chunk body.
@@ -159,61 +85,17 @@ pub fn encode_chunk(labels: &[u32], cpi: &[f64], events: &[f64]) -> Vec<u8> {
 /// Returns a typed [`CodecError`] on truncation, length mismatch, or
 /// integrity-hash mismatch.
 pub fn decode_chunk(bytes: &[u8]) -> Result<DecodedChunk, CodecError> {
-    if bytes.len() < 4 + 8 {
-        return Err(CodecError::Truncated);
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(CodecError::IntegrityMismatch);
-    }
-    let rows = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
-    if body.len() != 4 + rows * ROW_BYTES {
-        return Err(CodecError::Malformed(format!(
-            "{} body bytes for {rows} rows (expected {})",
-            body.len(),
-            4 + rows * ROW_BYTES
-        )));
-    }
-    let mut pos = 4;
-    let mut labels = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        labels.push(u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()));
-        pos += 4;
-    }
-    let read_f64 = |pos: &mut usize| {
-        let v = f64::from_bits(u64::from_le_bytes(body[*pos..*pos + 8].try_into().unwrap()));
-        *pos += 8;
-        v
-    };
-    let mut cpi = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        cpi.push(read_f64(&mut pos));
-    }
-    let mut events = Vec::with_capacity(N_EVENTS * rows);
-    for _ in 0..N_EVENTS * rows {
-        events.push(read_f64(&mut pos));
-    }
-    Ok(DecodedChunk {
-        labels,
-        cpi,
-        events,
-    })
+    chunk_columns(unseal(bytes)?.0)
 }
 
-fn encode_header(benchmarks: &[String]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(CHUNKED_MAGIC);
-    out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&(N_EVENTS as u32).to_le_bytes());
-    out.extend_from_slice(&(benchmarks.len() as u32).to_le_bytes());
-    for name in benchmarks {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-    }
-    let hash = fnv1a(&out);
-    out.extend_from_slice(&hash.to_le_bytes());
-    out
+/// Parses an unsealed chunk body: the row count, then exactly one
+/// column block of that many rows.
+fn chunk_columns(body: &[u8]) -> Result<DecodedChunk, CodecError> {
+    let mut r = Reader::new(body);
+    let rows = r.u32()?;
+    let chunk = r.columns(rows.into())?;
+    r.finish()?;
+    Ok(chunk)
 }
 
 /// Incremental `SPDC` writer: header up front, chunk bodies as they
@@ -239,7 +121,10 @@ impl<W: Read + Write + Seek> ChunkedWriter<W> {
     ///
     /// Propagates I/O failures.
     pub fn new(mut dst: W, benchmarks: &[String]) -> std::io::Result<Self> {
-        let header = encode_header(benchmarks);
+        let mut header = preamble(CHUNKED_MAGIC);
+        header.extend_from_slice(&(N_EVENTS as u32).to_le_bytes());
+        put_names(&mut header, benchmarks);
+        let header = seal(header);
         dst.seek(SeekFrom::Start(0))?;
         dst.write_all(&header)?;
         Ok(ChunkedWriter {
@@ -269,6 +154,10 @@ impl<W: Read + Write + Seek> ChunkedWriter<W> {
         body: &[u8],
         truncate_to: Option<usize>,
     ) -> std::io::Result<ChunkMeta> {
+        let invalid =
+            |e: CodecError| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
+        let (content, hash) = unseal(body).map_err(invalid)?;
+        let rows = chunk_columns(content).map_err(invalid)?.rows() as u64;
         let offset = self.cursor;
         let first = truncate_to.map_or(body, |n| &body[..n.min(body.len())]);
         self.dst.seek(SeekFrom::Start(offset))?;
@@ -287,14 +176,11 @@ impl<W: Read + Write + Seek> ChunkedWriter<W> {
                 ));
             }
         }
-        let rows = decode_chunk(body)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-            .rows() as u64;
         let meta = ChunkMeta {
             offset,
             len: body.len() as u64,
             rows,
-            hash: u64::from_le_bytes(body[body.len() - 8..].try_into().unwrap()),
+            hash,
         };
         self.cursor = offset + body.len() as u64;
         self.total_rows += rows;
@@ -331,25 +217,32 @@ impl<W: Read + Write + Seek> ChunkedWriter<W> {
     /// Propagates I/O failures.
     pub fn finish(mut self) -> std::io::Result<(u64, Vec<ChunkMeta>)> {
         let dir_offset = self.cursor;
-        let mut dir = Vec::with_capacity(8 + self.chunks.len() * 32 + 8);
+        let mut dir = Vec::with_capacity(8 + self.chunks.len() * ENTRY_BYTES + 8);
         dir.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
         for c in &self.chunks {
-            dir.extend_from_slice(&c.offset.to_le_bytes());
-            dir.extend_from_slice(&c.len.to_le_bytes());
-            dir.extend_from_slice(&c.rows.to_le_bytes());
-            dir.extend_from_slice(&c.hash.to_le_bytes());
+            for field in [c.offset, c.len, c.rows, c.hash] {
+                dir.extend_from_slice(&field.to_le_bytes());
+            }
         }
-        let hash = fnv1a(&dir);
-        dir.extend_from_slice(&hash.to_le_bytes());
+        let mut tail = seal(dir);
+        tail.extend_from_slice(&dir_offset.to_le_bytes());
+        tail.extend_from_slice(&self.total_rows.to_le_bytes());
+        tail.extend_from_slice(FOOTER_MAGIC);
+        tail.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
         self.dst.seek(SeekFrom::Start(dir_offset))?;
-        self.dst.write_all(&dir)?;
-        self.dst.write_all(&dir_offset.to_le_bytes())?;
-        self.dst.write_all(&self.total_rows.to_le_bytes())?;
-        self.dst.write_all(FOOTER_MAGIC)?;
-        self.dst.write_all(&SCHEMA_VERSION.to_le_bytes())?;
+        self.dst.write_all(&tail)?;
         self.dst.flush()?;
         Ok((self.total_rows, self.chunks))
     }
+}
+
+/// Reads `len` bytes at `offset`. Callers bound `len` by the file
+/// length, so the buffer never exceeds the bytes present.
+fn read_region<R: Read + Seek>(src: &mut R, offset: u64, len: u64) -> Result<Vec<u8>, CodecError> {
+    src.seek(SeekFrom::Start(offset)).map_err(io_err)?;
+    let mut bytes = vec![0u8; usize::try_from(len).map_err(|_| CodecError::Truncated)?];
+    src.read_exact(&mut bytes).map_err(io_err)?;
+    Ok(bytes)
 }
 
 /// An open `SPDC` container: the parsed directory plus a seekable
@@ -372,121 +265,72 @@ impl<R: Read + Seek> ChunkedReader<R> {
     /// # Errors
     ///
     /// Returns a typed [`CodecError`] for any framing defect — stale
-    /// schema version, truncated directory, hash mismatch.
+    /// schema version, truncated directory, hash mismatch, a directory
+    /// entry whose length disagrees with its row count.
     pub fn open(mut src: R) -> Result<Self, CodecError> {
         let file_len = src.seek(SeekFrom::End(0)).map_err(io_err)?;
-        if file_len < FOOTER_LEN {
-            return Err(CodecError::Truncated);
-        }
-        src.seek(SeekFrom::Start(file_len - FOOTER_LEN))
-            .map_err(io_err)?;
-        let mut footer = [0u8; FOOTER_LEN as usize];
-        src.read_exact(&mut footer).map_err(io_err)?;
-        if &footer[16..20] != FOOTER_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = u32::from_le_bytes(footer[20..24].try_into().unwrap());
-        if version != SCHEMA_VERSION {
-            return Err(CodecError::WrongVersion(version));
-        }
-        let dir_offset = u64::from_le_bytes(footer[..8].try_into().unwrap());
-        let total_rows = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-        if dir_offset > file_len - FOOTER_LEN {
+        let dir_end = file_len
+            .checked_sub(FOOTER_LEN)
+            .ok_or(CodecError::Truncated)?;
+        let footer = read_region(&mut src, dir_end, FOOTER_LEN)?;
+        let mut f = Reader::new(&footer);
+        let dir_offset = f.u64()?;
+        let total_rows = f.u64()?;
+        f.magic(FOOTER_MAGIC)?;
+        f.version()?;
+        if dir_offset > dir_end {
             return Err(CodecError::Truncated);
         }
         // Directory: everything between dir_offset and the footer.
-        let dir_len = (file_len - FOOTER_LEN - dir_offset) as usize;
-        src.seek(SeekFrom::Start(dir_offset)).map_err(io_err)?;
-        let mut dir = vec![0u8; dir_len];
-        src.read_exact(&mut dir).map_err(io_err)?;
-        if dir_len < 8 + 8 {
-            return Err(CodecError::Truncated);
-        }
-        let body = &dir[..dir_len - 8];
-        let stored = u64::from_le_bytes(dir[dir_len - 8..].try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(CodecError::IntegrityMismatch);
-        }
-        let n_chunks = u64::from_le_bytes(body[..8].try_into().unwrap()) as usize;
-        if body.len() != 8 + n_chunks * 32 {
-            return Err(CodecError::Malformed(format!(
-                "directory holds {} bytes for {n_chunks} chunks",
-                body.len()
-            )));
-        }
+        let dir = read_region(&mut src, dir_offset, dir_end - dir_offset)?;
+        let mut r = Reader::new(unseal(&dir)?.0);
+        let n_chunks = r.u64()?;
+        let n_chunks = r.count(n_chunks, ENTRY_BYTES)?;
         let mut chunks = Vec::with_capacity(n_chunks);
         let mut row_starts = Vec::with_capacity(n_chunks + 1);
         let mut rows_so_far = 0u64;
         for i in 0..n_chunks {
-            let e = &body[8 + i * 32..8 + (i + 1) * 32];
             let meta = ChunkMeta {
-                offset: u64::from_le_bytes(e[..8].try_into().unwrap()),
-                len: u64::from_le_bytes(e[8..16].try_into().unwrap()),
-                rows: u64::from_le_bytes(e[16..24].try_into().unwrap()),
-                hash: u64::from_le_bytes(e[24..32].try_into().unwrap()),
+                offset: r.u64()?,
+                len: r.u64()?,
+                rows: r.u64()?,
+                hash: r.u64()?,
             };
-            if meta.offset.saturating_add(meta.len) > dir_offset {
+            let end = meta.offset.checked_add(meta.len);
+            if end.is_none_or(|end| end > dir_offset) {
                 return Err(CodecError::Malformed(format!(
-                    "chunk {i} region [{}, {}) overlaps the directory",
-                    meta.offset,
-                    meta.offset + meta.len
+                    "chunk {i} region at {} of {} bytes overlaps the directory",
+                    meta.offset, meta.len
+                )));
+            }
+            let body_len = meta
+                .rows
+                .checked_mul(ROW_BYTES as u64)
+                .and_then(|b| b.checked_add(4 + 8));
+            if body_len != Some(meta.len) {
+                return Err(CodecError::Malformed(format!(
+                    "chunk {i} holds {} bytes for {} rows",
+                    meta.len, meta.rows
                 )));
             }
             row_starts.push(rows_so_far);
             rows_so_far += meta.rows;
             chunks.push(meta);
         }
+        r.finish()?;
         row_starts.push(rows_so_far);
         if rows_so_far != total_rows {
             return Err(CodecError::Malformed(format!(
                 "directory rows {rows_so_far} != footer rows {total_rows}"
             )));
         }
-        // Header.
-        src.seek(SeekFrom::Start(0)).map_err(io_err)?;
-        let mut magic = [0u8; 4];
-        src.read_exact(&mut magic).map_err(io_err)?;
-        if &magic != CHUNKED_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let mut u32buf = [0u8; 4];
-        let mut read_u32 = |src: &mut R| -> Result<u32, CodecError> {
-            src.read_exact(&mut u32buf).map_err(io_err)?;
-            Ok(u32::from_le_bytes(u32buf))
-        };
-        let version = read_u32(&mut src)?;
-        if version != SCHEMA_VERSION {
-            return Err(CodecError::WrongVersion(version));
-        }
-        let n_events = read_u32(&mut src)? as usize;
-        if n_events != N_EVENTS {
-            return Err(CodecError::Malformed(format!(
-                "{n_events} event columns (expected {N_EVENTS})"
-            )));
-        }
-        let n_benchmarks = read_u32(&mut src)? as usize;
-        let mut header = encode_header(&[]);
-        header.truncate(16); // magic + version + n_events + n_benchmarks
-        header[12..16].copy_from_slice(&(n_benchmarks as u32).to_le_bytes());
-        let mut benchmarks = Vec::with_capacity(n_benchmarks.min(1024));
-        for _ in 0..n_benchmarks {
-            let len = read_u32(&mut src)? as usize;
-            if len > dir_offset as usize {
-                return Err(CodecError::Truncated);
-            }
-            let mut raw = vec![0u8; len];
-            src.read_exact(&mut raw).map_err(io_err)?;
-            header.extend_from_slice(&(len as u32).to_le_bytes());
-            header.extend_from_slice(&raw);
-            let name = String::from_utf8(raw)
-                .map_err(|e| CodecError::Malformed(format!("benchmark name: {e}")))?;
-            benchmarks.push(name);
-        }
-        let mut stored = [0u8; 8];
-        src.read_exact(&mut stored).map_err(io_err)?;
-        if fnv1a(&header) != u64::from_le_bytes(stored) {
-            return Err(CodecError::IntegrityMismatch);
-        }
+        // Header: everything before the first body (or the directory).
+        let header_len = chunks.first().map_or(dir_offset, |c| c.offset);
+        let header = read_region(&mut src, 0, header_len)?;
+        let mut h = Reader::open(&header, CHUNKED_MAGIC)?;
+        h.event_count()?;
+        let benchmarks = h.names()?;
+        h.finish()?;
         Ok(ChunkedReader {
             src,
             benchmarks,
@@ -540,11 +384,13 @@ impl<R: Read + Seek> ChunkedReader<R> {
             .chunks
             .get(i)
             .ok_or_else(|| CodecError::Malformed(format!("chunk {i} out of range")))?;
-        let bytes = self.read_chunk_bytes(meta)?;
-        if u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap()) != meta.hash {
+        let bytes = read_region(&mut self.src, meta.offset, meta.len)?;
+        obskit::metrics::add(obskit::metrics::Metric::PipelineBytesRead, meta.len);
+        let (body, hash) = unseal(&bytes)?;
+        if hash != meta.hash {
             return Err(CodecError::IntegrityMismatch);
         }
-        let chunk = decode_chunk(&bytes)?;
+        let chunk = chunk_columns(body)?;
         if chunk.rows() as u64 != meta.rows {
             return Err(CodecError::Malformed(format!(
                 "chunk {i} decodes {} rows, directory says {}",
@@ -555,19 +401,6 @@ impl<R: Read + Seek> ChunkedReader<R> {
         Ok(chunk)
     }
 
-    fn read_chunk_bytes(&mut self, meta: ChunkMeta) -> Result<Vec<u8>, CodecError> {
-        if meta.len < 12 {
-            return Err(CodecError::Truncated);
-        }
-        self.src
-            .seek(SeekFrom::Start(meta.offset))
-            .map_err(io_err)?;
-        let mut bytes = vec![0u8; meta.len as usize];
-        self.src.read_exact(&mut bytes).map_err(io_err)?;
-        obskit::metrics::add(obskit::metrics::Metric::PipelineBytesRead, meta.len);
-        Ok(bytes)
-    }
-
     /// Materializes one chunk as a [`Dataset`] carrying the container's
     /// name table.
     ///
@@ -576,8 +409,7 @@ impl<R: Read + Seek> ChunkedReader<R> {
     /// Propagates [`ChunkedReader::read_chunk`] errors plus label
     /// range defects.
     pub fn chunk_dataset(&mut self, i: usize) -> Result<Dataset, CodecError> {
-        let benchmarks = self.benchmarks.clone();
-        self.read_chunk(i)?.to_dataset(&benchmarks)
+        self.read_chunk(i)?.into_dataset(self.benchmarks.clone())
     }
 
     /// The chunk indices whose rows intersect the global row range.
@@ -605,17 +437,28 @@ impl<R: Read + Seek> ChunkedReader<R> {
                 self.n_rows()
             )));
         }
-        let mut samples = Vec::with_capacity((rows.end - rows.start) as usize);
-        let mut labels = Vec::with_capacity(samples.capacity());
+        // Rows are bounded by the container's bytes (see `open`).
+        let n = (rows.end - rows.start) as usize;
+        let mut window = DecodedChunk {
+            labels: Vec::with_capacity(n),
+            cpi: Vec::with_capacity(n),
+            events: vec![0.0; N_EVENTS * n],
+        };
         for i in self.chunks_covering(&rows) {
             let start = self.row_starts[i];
             let chunk = self.read_chunk(i)?;
+            let m = chunk.rows();
             let lo = rows.start.saturating_sub(start) as usize;
-            let hi = ((rows.end - start) as usize).min(chunk.rows());
-            chunk.append_rows(lo..hi, &mut samples, &mut labels);
+            let hi = ((rows.end - start) as usize).min(m);
+            let at = window.labels.len();
+            window.labels.extend_from_slice(&chunk.labels[lo..hi]);
+            window.cpi.extend_from_slice(&chunk.cpi[lo..hi]);
+            for e in 0..N_EVENTS {
+                window.events[e * n + at..e * n + at + (hi - lo)]
+                    .copy_from_slice(&chunk.events[e * m + lo..e * m + hi]);
+            }
         }
-        Dataset::from_parts(samples, labels, self.benchmarks.clone())
-            .map_err(|e| CodecError::Malformed(e.to_string()))
+        window.into_dataset(self.benchmarks.clone())
     }
 
     /// Streams every chunk through the compiled engine's block kernels,
@@ -677,11 +520,7 @@ impl<R: Read + Write + Seek> ChunkedReader<R> {
             .chunks
             .get(i)
             .ok_or_else(|| CodecError::Malformed(format!("chunk {i} out of range")))?;
-        if body.len() as u64 != meta.len
-            || body.len() < 12
-            || u64::from_le_bytes(body[body.len() - 8..].try_into().unwrap()) != meta.hash
-            || fnv1a(&body[..body.len() - 8]) != meta.hash
-        {
+        if body.len() as u64 != meta.len || unseal(body).map(|(_, h)| h) != Ok(meta.hash) {
             return Err(CodecError::Malformed(format!(
                 "recomputed chunk {i} does not match its directory entry"
             )));
@@ -799,6 +638,25 @@ mod tests {
                 "cut {cut} undetected"
             );
         }
+    }
+
+    #[test]
+    fn huge_directory_count_is_a_typed_error() {
+        // A correctly sealed container whose directory claims 2^59
+        // entries: the entry bytes overflow a u64, and there are none.
+        let mut cursor = Cursor::new(Vec::new());
+        ChunkedWriter::new(&mut cursor, &[]).unwrap();
+        let mut file = cursor.into_inner();
+        let dir_offset = file.len() as u64;
+        file.extend_from_slice(&seal((1u64 << 59).to_le_bytes().to_vec()));
+        file.extend_from_slice(&dir_offset.to_le_bytes());
+        file.extend_from_slice(&0u64.to_le_bytes());
+        file.extend_from_slice(FOOTER_MAGIC);
+        file.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
+        assert_eq!(
+            ChunkedReader::open(Cursor::new(file)).unwrap_err(),
+            CodecError::Malformed(format!("count {} overflows", 1u64 << 59))
+        );
     }
 
     #[test]

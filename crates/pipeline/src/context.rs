@@ -519,6 +519,7 @@ impl PipelineContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::SCHEMA_VERSION;
     use crate::spec::{suite_tree_config, SuiteKind};
 
     fn small_spec() -> DatasetSpec {
@@ -615,7 +616,10 @@ mod tests {
         let original = cold.dataset(&spec).unwrap();
 
         // Flip one byte in the stored artifact.
-        let dir = store.root().join("v1").join("datasets");
+        let dir = store
+            .root()
+            .join(format!("v{SCHEMA_VERSION}"))
+            .join("datasets");
         let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
         let mut bytes = std::fs::read(entry.path()).unwrap();
         let mid = bytes.len() / 2;

@@ -26,8 +26,8 @@ use std::fmt;
 /// header), so a bump atomically invalidates the whole store.
 pub const SCHEMA_VERSION: u32 = 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Arbitrary odd constant decorrelating the second FNV stream.
 const STREAM2_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 

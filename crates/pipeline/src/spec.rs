@@ -146,14 +146,8 @@ impl SuiteKind {
             "omp2001" => SEED_OMP2001,
             "cpu2017" => SEED_CPU2017,
             "cpu2026" => SEED_CPU2026,
-            other => {
-                // FNV-1a over the tag: stable, content-derived.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in other.bytes() {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                h
-            }
+            // FNV-1a over the tag: stable, content-derived.
+            other => crate::codec::fnv1a(other.as_bytes()),
         }
     }
 

@@ -12,7 +12,7 @@
 //! # Architecture
 //!
 //! ```text
-//! clients ──► acceptor ──► per-connection handlers ──► coalescer ──► BatchKernel
+//! clients ──► acceptor ──► per-connection handlers ──► coalescer ──► CompiledTree
 //!                │                │   (parse, validate)    │  (one columnar batch
 //!                │                │                        │   per window/size)
 //!                │                ◄── tickets (oneshot) ───┘
@@ -35,10 +35,9 @@
 //!   a connection is submitted before the first response is awaited, so
 //!   one keep-alive connection can fill a batch by itself), and the
 //!   `serve.*` obskit metrics.
-//! * [`loadgen`] — an open-loop (fixed arrival schedule, latency
-//!   measured against the *schedule*, so queueing delay is charged to
-//!   the server — no coordinated omission) and saturating load
-//!   generator used by `bench_serve` and the CI smoke job.
+//!
+//! The load generator that drives this server in `bench_serve` and the
+//! CI smoke job lives in `spec_bench::loadgen`.
 //!
 //! # Determinism contract
 //!
@@ -53,11 +52,9 @@
 
 pub mod coalesce;
 pub mod http;
-pub mod loadgen;
 pub mod registry;
 pub mod server;
 
 pub use coalesce::{Coalescer, CoalescerConfig, Outcome, RequestKind, SubmitError};
-pub use loadgen::{LoadgenConfig, LoadgenReport, Mode};
 pub use registry::{ModelRegistry, ModelVersion};
 pub use server::{set_trace_sample, Server, ServerConfig};

@@ -19,7 +19,8 @@ use modeltree::{M5Config, ModelTree};
 use perfcounters::events::N_EVENTS;
 use perfcounters::{Dataset, EventId, Sample};
 use pipeline::{ArtifactStore, Fingerprint};
-use serve::{CoalescerConfig, LoadgenConfig, Mode, ModelRegistry, Server, ServerConfig};
+use serve::{CoalescerConfig, ModelRegistry, Server, ServerConfig};
+use spec_bench::loadgen::{self, LoadgenConfig, Mode};
 
 /// A two-regime synthetic workload; `flip` swaps the regimes so the two
 /// fitted trees are materially different models.
@@ -696,7 +697,7 @@ fn loadgen_round_trip_and_shutdown() {
     let rows: Vec<Vec<f64>> = (0..ds.len())
         .map(|i| ds.sample(i).densities().to_vec())
         .collect();
-    let report = serve::loadgen::run(
+    let report = loadgen::run(
         &LoadgenConfig {
             addr: addr.clone(),
             connections: 2,

@@ -289,6 +289,10 @@ impl<R: Read + Seek> ChunkedReader<R> {
         let mut chunks = Vec::with_capacity(n_chunks);
         let mut row_starts = Vec::with_capacity(n_chunks + 1);
         let mut rows_so_far = 0u64;
+        // Bodies must tile the bytes between the header and the
+        // directory, each as long as its row count says. That bounds the
+        // total row count, and so every window allocation, by the file.
+        let mut next_offset = None;
         for i in 0..n_chunks {
             let meta = ChunkMeta {
                 offset: r.u64()?,
@@ -296,26 +300,23 @@ impl<R: Read + Seek> ChunkedReader<R> {
                 rows: r.u64()?,
                 hash: r.u64()?,
             };
+            let body_len = meta.rows.checked_mul(ROW_BYTES as u64);
+            let sized = body_len.and_then(|b| b.checked_add(4 + 8)) == Some(meta.len);
             let end = meta.offset.checked_add(meta.len);
-            if end.is_none_or(|end| end > dir_offset) {
+            if !sized || end.is_none() || next_offset.is_some_and(|o| o != meta.offset) {
                 return Err(CodecError::Malformed(format!(
-                    "chunk {i} region at {} of {} bytes overlaps the directory",
-                    meta.offset, meta.len
+                    "directory entry {i} is inconsistent: {meta:?}"
                 )));
             }
-            let body_len = meta
-                .rows
-                .checked_mul(ROW_BYTES as u64)
-                .and_then(|b| b.checked_add(4 + 8));
-            if body_len != Some(meta.len) {
-                return Err(CodecError::Malformed(format!(
-                    "chunk {i} holds {} bytes for {} rows",
-                    meta.len, meta.rows
-                )));
-            }
+            next_offset = end;
             row_starts.push(rows_so_far);
             rows_so_far += meta.rows;
             chunks.push(meta);
+        }
+        if next_offset.is_some_and(|end| end != dir_offset) {
+            return Err(CodecError::Malformed(
+                "chunk bodies do not end at the directory".into(),
+            ));
         }
         r.finish()?;
         row_starts.push(rows_so_far);
@@ -390,15 +391,10 @@ impl<R: Read + Seek> ChunkedReader<R> {
         if hash != meta.hash {
             return Err(CodecError::IntegrityMismatch);
         }
-        let chunk = chunk_columns(body)?;
-        if chunk.rows() as u64 != meta.rows {
-            return Err(CodecError::Malformed(format!(
-                "chunk {i} decodes {} rows, directory says {}",
-                chunk.rows(),
-                meta.rows
-            )));
-        }
-        Ok(chunk)
+        // `open` matched `meta.len` to `meta.rows`, and `chunk_columns`
+        // matches the body's length to its own row count, so the two
+        // row counts agree.
+        chunk_columns(body)
     }
 
     /// Materializes one chunk as a [`Dataset`] carrying the container's
@@ -657,6 +653,32 @@ mod tests {
             ChunkedReader::open(Cursor::new(file)).unwrap_err(),
             CodecError::Malformed(format!("count {} overflows", 1u64 << 59))
         );
+    }
+
+    #[test]
+    fn overlapping_directory_entries_are_refused() {
+        // A sealed directory that lists the same chunk 1000 times would
+        // claim 1000x the rows the file holds.
+        let ds = sample_dataset(40);
+        let bytes = container_bytes(&ds, 40);
+        let meta = ChunkedReader::open(Cursor::new(&bytes)).unwrap().meta(0);
+        let dir_offset = meta.offset + meta.len;
+        let mut file = bytes[..dir_offset as usize].to_vec();
+        let mut dir = 1000u64.to_le_bytes().to_vec();
+        for _ in 0..1000 {
+            for field in [meta.offset, meta.len, meta.rows, meta.hash] {
+                dir.extend_from_slice(&field.to_le_bytes());
+            }
+        }
+        file.extend_from_slice(&seal(dir));
+        file.extend_from_slice(&dir_offset.to_le_bytes());
+        file.extend_from_slice(&(1000 * meta.rows).to_le_bytes());
+        file.extend_from_slice(FOOTER_MAGIC);
+        file.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
+        assert!(matches!(
+            ChunkedReader::open(Cursor::new(file)),
+            Err(CodecError::Malformed(_))
+        ));
     }
 
     #[test]

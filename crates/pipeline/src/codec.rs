@@ -151,12 +151,11 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    /// Checks the length, magic, trailing hash and schema version of a
-    /// sealed artifact, returning a reader positioned after them.
+    /// Checks the trailing hash, magic and schema version of a sealed
+    /// artifact, returning a reader positioned after them.
     pub(crate) fn open(bytes: &'a [u8], magic: &[u8; 4]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
+        let mut r = Reader::new(unseal(bytes)?.0);
         r.magic(magic)?;
-        r.buf = unseal(bytes)?.0;
         r.version()?;
         Ok(r)
     }
@@ -550,21 +549,30 @@ mod tests {
         }
     }
 
-    /// Overwrites bytes of the sealed region `content` (its hash follows
-    /// it), then recomputes the hash so the decoder gets past the
-    /// integrity check. Half the edits land in the region's first 40
+    /// Overwrites bytes of the sealed region `sealed` of `bytes` (its
+    /// last 8 bytes are the hash) and, when `cut.0 == 0`, cuts its
+    /// content short; then recomputes the hash so the decoder gets past
+    /// the integrity check. Half the edits land in the region's first 40
     /// bytes, where the counts and length prefixes live.
-    fn mutate_and_reseal(bytes: &mut [u8], content: Range<usize>, edits: &[(usize, f64, usize)]) {
+    fn mutate_and_reseal(
+        bytes: &[u8],
+        sealed: Range<usize>,
+        edits: &[(usize, f64, usize)],
+        cut: (usize, f64),
+    ) -> Vec<u8> {
+        let mut content = bytes[sealed.start..sealed.end - 8].to_vec();
         for &(near, frac, value) in edits {
             let span = if near == 0 {
                 content.len().min(40)
             } else {
                 content.len()
             };
-            bytes[content.start + (frac * span as f64) as usize] = value as u8;
+            content[(frac * span as f64) as usize] = value as u8;
         }
-        let hash = fnv1a(&bytes[content.clone()]);
-        bytes[content.end..content.end + 8].copy_from_slice(&hash.to_le_bytes());
+        if cut.0 == 0 {
+            content.truncate((cut.1 * content.len() as f64) as usize);
+        }
+        [&bytes[..sealed.start], &seal(content), &bytes[sealed.end..]].concat()
     }
 
     /// Opens a container and reads everything in it. On success the
@@ -602,21 +610,20 @@ mod tests {
         fn resealed_mutations_never_panic(
             kind in 0usize..5,
             edits in proptest::collection::vec((0usize..2, 0.0f64..1.0, 0usize..256), 1..6),
+            cut in (0usize..4, 0.0f64..1.0),
         ) {
             let f = fixtures();
+            let r = ChunkedReader::open(Cursor::new(&f.spdc)).unwrap();
+            let (first, last) = (r.meta(0), r.meta(r.n_chunks() - 1));
             match kind {
                 0 => {
-                    let mut bytes = f.spds.clone();
-                    let end = bytes.len() - 8;
-                    mutate_and_reseal(&mut bytes, 0..end, &edits);
+                    let bytes = mutate_and_reseal(&f.spds, 0..f.spds.len(), &edits, cut);
                     if let Ok(ds) = decode_dataset(&bytes) {
                         prop_assert!(encode_dataset(&ds) == bytes, "SPDS re-encodes differently");
                     }
                 }
                 1 => {
-                    let mut bytes = f.spmt.clone();
-                    let end = bytes.len() - 8;
-                    mutate_and_reseal(&mut bytes, 0..end, &edits);
+                    let bytes = mutate_and_reseal(&f.spmt, 0..f.spmt.len(), &edits, cut);
                     // Mutated JSON may parse to a tree whose canonical
                     // rendering differs; it must then be stable.
                     if let Ok(tree) = decode_tree(&bytes) {
@@ -625,31 +632,19 @@ mod tests {
                     }
                 }
                 2 => {
-                    let r = ChunkedReader::open(Cursor::new(&f.spdc)).unwrap();
-                    let meta = r.meta(0);
-                    let start = meta.offset as usize;
-                    let mut body = f.spdc[start..start + meta.len as usize].to_vec();
-                    let end = body.len() - 8;
-                    mutate_and_reseal(&mut body, 0..end, &edits);
+                    let body = &f.spdc[first.offset as usize..(first.offset + first.len) as usize];
+                    let body = mutate_and_reseal(body, 0..body.len(), &edits, cut);
                     if let Ok(c) = decode_chunk(&body) {
                         prop_assert!(encode_chunk(&c.labels, &c.cpi, &c.events) == body);
                     }
                 }
                 3 => {
-                    let r = ChunkedReader::open(Cursor::new(&f.spdc)).unwrap();
-                    let last = r.meta(r.n_chunks() - 1);
-                    let dir_start = (last.offset + last.len) as usize;
-                    let mut bytes = f.spdc.clone();
-                    let end = bytes.len() - 24 - 8;
-                    mutate_and_reseal(&mut bytes, dir_start..end, &edits);
-                    container_roundtrips(&bytes)?;
+                    let dir = (last.offset + last.len) as usize..f.spdc.len() - 24;
+                    container_roundtrips(&mutate_and_reseal(&f.spdc, dir, &edits, cut))?;
                 }
                 _ => {
-                    let r = ChunkedReader::open(Cursor::new(&f.spdc)).unwrap();
-                    let mut bytes = f.spdc.clone();
-                    let end = r.meta(0).offset as usize - 8;
-                    mutate_and_reseal(&mut bytes, 0..end, &edits);
-                    container_roundtrips(&bytes)?;
+                    let header = 0..first.offset as usize;
+                    container_roundtrips(&mutate_and_reseal(&f.spdc, header, &edits, cut))?;
                 }
             }
         }
